@@ -65,7 +65,6 @@ from .words import (
     power,
     retract,
     split_free_product,
-    syllable_length,
     word_literal,
 )
 
@@ -87,5 +86,5 @@ __all__ = [
     "homogenize", "make_split_qm", "split_qm_eval",
     "IDENTITY", "NormalWord", "Syllable", "commutator", "exponent_weight",
     "generator", "invert", "multiply", "normal_form", "parse_word", "power",
-    "retract", "split_free_product", "syllable_length", "word_literal",
+    "retract", "split_free_product", "word_literal",
 ]

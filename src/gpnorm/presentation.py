@@ -56,8 +56,8 @@ class VertexSpec:
 class Presentation:
     """Immutable validated graph presentation.
 
-    Not a dataclass because adjacency sets are precomputed once; treat
-    instances as values.
+    Not a dataclass because adjacency sets and bitmasks are precomputed
+    once; treat instances as values.
     """
 
     def __init__(self, vertices: Sequence[VertexSpec], edges: Iterable[tuple[str, str]]):
@@ -70,22 +70,31 @@ class Presentation:
                     raise PresentationError(f"duplicate vertex id {v.id!r}")
                 seen.add(v.id)
         edge_set: set[tuple[str, str]] = set()
+        adj: dict[str, set[str]] = {v.id: set() for v in self.vertices}
+        # one adjacency bitmask per vertex: bit j of masks[i] is set iff
+        # vertices i and j commute
+        masks = [0] * len(self.vertices)
+        index = self._index
         for a, b in edges:
-            if a not in self._index:
+            if a not in index:
                 raise PresentationError(f"edge endpoint {a!r} is not a vertex")
-            if b not in self._index:
+            if b not in index:
                 raise PresentationError(f"edge endpoint {b!r} is not a vertex")
             if a == b:
                 raise PresentationError(f"loop edge at {a!r}")
-            if self._index[a] > self._index[b]:
+            i, j = index[a], index[b]
+            if i > j:
                 a, b = b, a
             edge_set.add((a, b))
-        self.edges: frozenset[tuple[str, str]] = frozenset(edge_set)
-        adj: dict[str, set[str]] = {v.id: set() for v in self.vertices}
-        for a, b in self.edges:
             adj[a].add(b)
             adj[b].add(a)
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+        self.edges: frozenset[tuple[str, str]] = frozenset(edge_set)
         self._adj = {k: frozenset(s) for k, s in adj.items()}
+        # orders and bitmasks by vertex index, read by words.normal_form
+        self._orders = tuple([v.order for v in self.vertices])
+        self._adj_mask = tuple(masks)
 
     # -- basic queries ----------------------------------------------------
 

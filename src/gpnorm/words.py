@@ -3,11 +3,31 @@
 Elements are syllable sequences v^e.  A word is reduced when no two
 syllables of the same vertex can be brought together by swapping adjacent
 commuting syllables; reduced representatives of an element differ only by
-such shuffles.  The canonical form is the lexicographically least reduced
-representative, ordering syllables by (vertex declaration index, exponent).
-Two canonical words are equal as group elements iff they are identical, so
-NormalWord is hashable and usable as a set/dict key in orbit and ball
-enumeration.
+such shuffles (Green's normal form, see Hermiller-Meier, J. Algebra 171,
+1995).  The canonical form is the lexicographically least reduced
+representative, ordering syllables by (vertex declaration index, exponent):
+the Anisimov-Knuth lexicographic normal form of the trace.  Two canonical
+words are equal as group elements iff they are identical, so NormalWord is
+hashable and usable as a set/dict key in orbit and ball enumeration.
+
+``normal_form`` works on vertex indices with the orders and adjacency
+bitmasks that ``Presentation`` precomputes, in two stages over an
+n-syllable input:
+
+* Reduction: one left-to-right pass keeping a reduced stack.  A new
+  syllable scans back only over entries whose vertex commutes with it and
+  merges with the first same-vertex entry it meets, dropping that entry if
+  the exponents cancel.  A cancelled entry commutes with everything above
+  it, so removing it leaves the stack reduced.  The scan stops at the first
+  entry that does not commute, so the pass costs O(n) plus the total scan
+  length; in a complete graph the stack never holds more than |V| entries.
+* Ordering: the predecessors of a stack entry are the last earlier entries
+  of each vertex it does not commute with (its own vertex included), found
+  from the bitmasks in O(|V|) per entry.  The lex-least linear extension
+  is emitted greedily from the entries whose predecessors are all emitted.
+  That set holds at most one entry per vertex, so it is a bitmask of
+  vertices whose lowest set bit is the least key; exponents never decide.
+  The ordering costs O(n*|V|).
 
 Finite-order exponents are stored in {1, ..., n-1}; infinite-order exponents
 are arbitrary nonzero integers.
@@ -16,7 +36,7 @@ are arbitrary nonzero integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .presentation import Presentation, PresentationError
 
@@ -48,79 +68,76 @@ class NormalWord:
 IDENTITY = NormalWord()
 
 
-def _norm_exp(p: Presentation, v: str, e: int) -> int:
-    n = p.order(v)
-    if n is None:
-        return e
-    return e % n
-
-
-def _reduce(p: Presentation, sylls: list[Syllable]) -> list[Syllable]:
-    """Merge same-vertex syllables separated only by commuting syllables and
-    drop trivial ones, until no merge applies."""
-    s = [Syllable(v, e) for v, e in (
-        (v, _norm_exp(p, v, e)) for v, e in sylls) if e != 0]
-    changed = True
-    while changed:
-        changed = False
-        i = 0
-        while i < len(s):
-            v = s[i].vertex
-            adj = p.adjacent(v)
-            j = i + 1
-            while j < len(s):
-                if s[j].vertex == v:
-                    e = _norm_exp(p, v, s[i].exponent + s[j].exponent)
-                    del s[j]
-                    if e == 0:
-                        del s[i]
-                    else:
-                        s[i] = Syllable(v, e)
-                    changed = True
-                    break
-                if s[j].vertex not in adj:
-                    break
-                j += 1
-            if changed:
-                break
-            i += 1
-    return s
-
-
-def _canonical_order(p: Presentation, s: list[Syllable]) -> tuple[Syllable, ...]:
-    """Lexicographically least linearization of the reduced word's shuffle
-    class: greedily pick the least syllable whose predecessors all commute
-    with it."""
-    out: list[Syllable] = []
-    rem = list(s)
-    while rem:
-        seen: set[str] = set()
-        best_j = -1
-        best_key: tuple[int, int] | None = None
-        for j, syl in enumerate(rem):
-            v = syl.vertex
-            if v not in seen and seen <= p.adjacent(v):
-                key = (p.index(v), syl.exponent)
-                if best_key is None or key < best_key:
-                    best_key, best_j = key, j
-            seen.add(v)
-        out.append(rem.pop(best_j))
-    return tuple(out)
-
-
 def normal_form(p: Presentation, word) -> NormalWord:
     """Canonical form of a raw syllable sequence (or NormalWord)."""
-    if isinstance(word, NormalWord):
-        raw = list(word.syllables)
-    else:
-        raw = [Syllable(v, e) for v, e in word]
-    for syl in raw:
-        p.index(syl.vertex)  # raises on unknown vertex
-    return NormalWord(_canonical_order(p, _reduce(p, raw)))
+    index, orders, adj = p._index, p._orders, p._adj_mask
+    # reduction: the reduced stack as parallel vertex-index / syllable lists;
+    # input Syllables are kept as they are unless their exponent changes
+    vs: list[int] = []
+    ss: list[Syllable] = []
+    for syl in word.syllables if isinstance(word, NormalWord) else word:
+        name, e = syl
+        v = index.get(name)
+        if v is None:
+            p.index(name)  # raises on unknown vertex
+        n = orders[v]
+        if n is not None:
+            e %= n
+        if not e:
+            continue
+        m = adj[v]
+        j = len(vs) - 1
+        while j >= 0 and vs[j] != v and m >> vs[j] & 1:
+            j -= 1
+        if j >= 0 and vs[j] == v:
+            e += ss[j].exponent
+            if n is not None:
+                e %= n
+            if e:
+                ss[j] = Syllable(name, e)
+            else:
+                del vs[j], ss[j]
+        else:
+            vs.append(v)
+            ss.append(syl if type(syl) is Syllable and syl.exponent == e
+                      else Syllable(name, e))
+    # ordering: predecessor counts and successor lists of the stack entries;
+    # ready has bit v set when pending[v] is an entry of vertex v whose
+    # predecessors have all been emitted
+    succ: list[list[int]] = [[] for _ in vs]
+    indeg = [0] * len(vs)
+    last = [0] * len(orders)  # latest entry of each vertex seen so far
+    pending = [0] * len(orders)
+    seen = ready = 0
+    for k, v in enumerate(vs):
+        deps = seen & ~adj[v]
+        if not deps:
+            pending[v] = k
+            ready |= 1 << v
+        indeg[k] = deps.bit_count()
+        while deps:
+            low = deps & -deps
+            succ[last[low.bit_length() - 1]].append(k)
+            deps ^= low
+        last[v] = k
+        seen |= 1 << v
+    out: list[Syllable] = []
+    while ready:
+        low = ready & -ready
+        ready ^= low
+        k = pending[low.bit_length() - 1]
+        out.append(ss[k])
+        for s in succ[k]:
+            indeg[s] -= 1
+            if not indeg[s]:
+                w = vs[s]
+                pending[w] = s
+                ready |= 1 << w
+    return NormalWord(tuple(out))
 
 
 def multiply(p: Presentation, x: NormalWord, y: NormalWord) -> NormalWord:
-    return normal_form(p, list(x.syllables) + list(y.syllables))
+    return normal_form(p, x.syllables + y.syllables)
 
 
 def invert(p: Presentation, x: NormalWord) -> NormalWord:
@@ -157,10 +174,6 @@ def retract(p: Presentation, X: Iterable[str], x: NormalWord) -> NormalWord:
     return normal_form(p, [s for s in x.syllables if s.vertex in keep])
 
 
-def syllable_length(x: NormalWord) -> int:
-    return len(x.syllables)
-
-
 def exponent_weight(x: NormalWord) -> int:
     """Total exponent mass: sum of |e| over syllables (stored exponents)."""
     return sum(abs(e) for _, e in x.syllables)
@@ -183,7 +196,6 @@ def split_free_product(p: Presentation, M: Iterable[str], x: NormalWord) -> Alte
     left = set(M)
     for v in left:
         p.index(v)
-    rest = set(p.vertex_ids) - left
     for a, b in p.edges:
         if (a in left) != (b in left):
             raise PresentationError(
@@ -201,7 +213,6 @@ def split_free_product(p: Presentation, M: Iterable[str], x: NormalWord) -> Alte
         run.append(syl)
     if run:
         blocks.append((run_side, normal_form(p, run)))
-    _ = rest
     return AlternatingForm(tuple(blocks))
 
 

@@ -338,9 +338,9 @@ def test_criterion_7_complete_graph_oracle():
         def add(s, t):
             return tuple((s[i] + t[i]) % orders[i] for i in range(n))
 
-        elements = list(itertools.product(*[range(o) for o in orders]))
         if size <= 64:
             # exhaustive pair table
+            elements = list(itertools.product(*[range(o) for o in orders]))
             words = {t: word_of(t) for t in elements}
             assert len(set(words.values())) == size  # canonical forms distinct
             for s in elements:

@@ -15,6 +15,7 @@ from gpnorm import (
     parse_generator,
     parse_presentation,
     parse_word,
+    word_literal,
 )
 from gpnorm.automorphisms import (
     FACTOR,
@@ -197,3 +198,10 @@ def test_orbit_deterministic_order():
     o2 = orbit(p, [generator(p, "a")], aut0_generators(p), 4, 9)
     assert o1.sorted_elements() == o2.sorted_elements()
     assert IDENTITY not in o1.elements
+
+
+def test_transvection_on_long_power(path_raag):
+    # a -> a c applied to a^3000 is (a c)^3000: 6,000 alternating syllables
+    g = parse_generator(path_raag, "tv(a,c)")
+    got = apply_gen(path_raag, g, generator(path_raag, "a", 3000))
+    assert word_literal(got) == " ".join(["a c"] * 3000)

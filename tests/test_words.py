@@ -21,7 +21,6 @@ from gpnorm import (
     power,
     retract,
     split_free_product,
-    syllable_length,
     word_literal,
 )
 from gpnorm.presentation import PresentationError
@@ -80,6 +79,41 @@ def brute_canonical(p, sylls):
     return min(cls, key=lambda w: lex_key(p, w))
 
 
+def stored_exponent(p, v, e):
+    n = p.order(v)
+    return e if n is None else e % n
+
+
+def brute_reduce(p, sylls):
+    """Reduce by search, independently of normal_form: drop trivial
+    syllables, then while some member of the shuffle class has two adjacent
+    same-vertex syllables, merge them."""
+    word = tuple(Syllable(v, stored_exponent(p, v, e)) for v, e in sylls
+                 if stored_exponent(p, v, e))
+    while True:
+        for member in sorted(shuffle_class(p, word)):
+            i = next((i for i in range(len(member) - 1)
+                      if member[i].vertex == member[i + 1].vertex), None)
+            if i is not None:
+                v = member[i].vertex
+                e = stored_exponent(p, v, member[i].exponent + member[i + 1].exponent)
+                word = member[:i] + ((Syllable(v, e),) if e else ()) + member[i + 2 :]
+                break
+        else:
+            return word
+
+
+def check_against_oracle(p, sylls):
+    want = brute_canonical(p, brute_reduce(p, sylls))
+    got = normal_form(p, sylls).syllables
+    assert got == want
+    assert is_reduced(p, got)
+    # every member of the shuffle class normalizes identically
+    for member in shuffle_class(p, tuple(sylls)):
+        assert normal_form(p, list(member)).syllables == got
+    return got
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_canonical_form_matches_shuffle_oracle(seed):
     rng = random.Random(seed)
@@ -90,16 +124,60 @@ def test_canonical_form_matches_shuffle_oracle(seed):
         if sylls and sylls[-1].vertex == v:
             continue
         sylls.append(Syllable(v, rng.choice([-2, -1, 1, 2])))
-    if not is_reduced(PATH, sylls):
-        # reduce first through the implementation, then compare on its output
-        sylls = list(normal_form(PATH, sylls).syllables)
-        if not sylls:
-            return
-    got = normal_form(PATH, sylls).syllables
-    assert got == brute_canonical(PATH, sylls)
-    # every member of the shuffle class normalizes identically
-    for member in shuffle_class(PATH, sylls):
-        assert normal_form(PATH, list(member)).syllables == got
+    check_against_oracle(PATH, sylls)
+
+
+def random_presentation(rng, n_vertices, density, orders=(2, 3, 4, "inf")):
+    ids = [f"v{i}" for i in range(n_vertices)]
+    return parse_presentation({
+        "vertices": [{"id": v, "order": rng.choice(orders)} for v in ids],
+        "edges": [[a, b] for i, a in enumerate(ids) for b in ids[i + 1 :]
+                  if rng.random() < density],
+    })
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_canonical_form_matches_oracle_random_graphs(seed):
+    rng = random.Random(1000 + seed)
+    p = random_presentation(rng, rng.choice([4, 5]), rng.random())
+    ids = p.vertex_ids
+    sylls = [Syllable(rng.choice(ids), rng.choice([-3, -2, -1, 1, 2, 3]))
+             for _ in range(rng.randint(1, 7))]
+    check_against_oracle(p, sylls)
+
+
+@pytest.mark.parametrize("p, text, want", [
+    # c cancels in the middle of the stack [a, c, b]: b sits above c
+    (PATH, "a c b c^-1", "a b"),
+    (PATH, "a c b c^-1 a^-1", "b"),
+    (PATH, "b a c b^-1", "a c"),
+    # finite-order wrap: b^2 b = b^3 = 1 in C3
+    (PSL, "b^2 b", ""),
+    (PSL, "a b^2 b a", ""),
+])
+def test_named_reduction_cases(p, text, want):
+    sylls = [Syllable(v, int(e or 1)) for v, _, e in (t.partition("^") for t in text.split())]
+    got = check_against_oracle(p, sylls)
+    assert word_literal(NormalWord(got)) == want
+
+
+@pytest.mark.parametrize("density", [0, 0.5, 1])
+def test_long_word_canonicity(density):
+    rng = random.Random(f"long-{density}")
+    p = random_presentation(rng, 16, density, orders=(2, 3, 4, 5, "inf", "inf"))
+    ids = p.vertex_ids
+    for _ in range(3):
+        x = normal_form(p, [(rng.choice(ids), rng.choice([-2, -1, 1, 2]))
+                            for _ in range(1024)])
+        assert normal_form(p, x) == x
+        assert multiply(p, x, invert(p, x)) == IDENTITY
+        shuffled = list(x.syllables)
+        for _ in range(4 * len(shuffled)):
+            i = rng.randrange(len(shuffled) - 1)
+            u, v = shuffled[i].vertex, shuffled[i + 1].vertex
+            if u != v and p.has_edge(u, v):
+                shuffled[i], shuffled[i + 1] = shuffled[i + 1], shuffled[i]
+        assert normal_form(p, shuffled) == x
 
 
 def test_known_local_minimum_case():
@@ -160,7 +238,7 @@ def test_retract():
 
 def test_lengths():
     w = parse_word(PATH, "a^3 c^-2")
-    assert syllable_length(w) == 2
+    assert len(w) == 2
     assert exponent_weight(w) == 5
 
 
