@@ -3,8 +3,9 @@
 Thin dispatcher over the library: every subcommand reads a presentation
 JSON, runs one module operation, and prints JSON / CSV / DOT / word literals
 to stdout.  Exit codes: 0 success or verification PASS, 1 usage or input
-error, 2 verification FAIL.  A single --seed flag governs all sampling, so
-identical invocations produce identical bytes.
+error, 2 verification FAIL, also of a certificate file given to norm or
+distortion.  A single --seed flag governs all sampling, so identical
+invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -76,11 +77,26 @@ def _orbit_for(p: Presentation, cfg: RunConfig):
     return orbit(p, seeds, gens, cfg.orbit_depth, cfg.len_cap)
 
 
-def _load_cert(p: Presentation, path: str) -> classifier.Certificate:
+def _load_verdict(p: Presentation, path: str) -> classifier.Verdict:
+    """A verdict file, or a bare certificate read as the verdict its kind
+    implies."""
     obj = json.loads(Path(path).read_text())
-    if "certificate" in obj:  # accept full verdict files too
-        obj = obj["certificate"]
-    return classifier.certificate_from_obj(p, obj)
+    if "certificate" in obj:
+        return classifier.verdict_from_obj(p, obj)
+    cert = classifier.certificate_from_obj(p, obj)
+    return classifier.Verdict(cert.kind == classifier.BOUNDED_DECOMPOSITION, cert)
+
+
+def _verified_cert(p: Presentation, cfg: RunConfig) -> classifier.Certificate | None:
+    """The certificate in cfg.cert if it passes verify_certificate; else
+    None, after a one-line stderr message naming the first failed check."""
+    verdict = _load_verdict(p, cfg.cert)
+    report = classifier.verify_certificate(p, verdict, classifier.VerifyEffort(seed=cfg.seed))
+    failed = next((c for c in report.checks if c.status == "FAIL"), None)
+    if failed is None:
+        return verdict.certificate
+    print(f"gpnorm: certificate fails {failed.name}: {failed.detail}", file=sys.stderr)
+    return None
 
 
 def _frac(f: Fraction) -> str:
@@ -106,12 +122,17 @@ def cmd_nf(cfg: RunConfig) -> int:
 def cmd_norm(cfg: RunConfig) -> int:
     p = _load(cfg.graph)
     x = parse_word(p, cfg.word)
+    cert = None
+    if cfg.cert:
+        cert = _verified_cert(p, cfg)
+        if cert is None:
+            return 2
     orb = _orbit_for(p, cfg)
     upper = norm_upper(p, x, orb, cfg.radius)
     lower = Fraction(0)
-    if cfg.cert:
+    if cert is not None:
         try:
-            lower = norm_lower(p, x, _load_cert(p, cfg.cert))
+            lower = norm_lower(p, x, cert)
         except ValueError as exc:
             print(f"note: certificate gives no lower bound: {exc}", file=sys.stderr)
     _emit(
@@ -171,7 +192,9 @@ def cmd_distortion(cfg: RunConfig) -> int:
     if cfg.cert:
         cert_path = Path(cfg.cert)
         if cert_path.exists():
-            cert = _load_cert(p, cfg.cert)
+            cert = _verified_cert(p, cfg)
+            if cert is None:
+                return 2
         else:
             verdict = classifier.classify(p)
             cert = verdict.certificate
@@ -217,14 +240,7 @@ def cmd_orbit(cfg: RunConfig) -> int:
 
 def cmd_verify(cfg: RunConfig) -> int:
     p = _load(cfg.graph)
-    obj = json.loads(Path(cfg.cert).read_text())
-    if "certificate" in obj:
-        verdict = classifier.verdict_from_obj(p, obj)
-    else:
-        cert = classifier.certificate_from_obj(p, obj)
-        verdict = classifier.Verdict(
-            cert.kind == classifier.BOUNDED_DECOMPOSITION, cert
-        )
+    verdict = _load_verdict(p, cfg.cert)
     effort = classifier.VerifyEffort(seed=cfg.seed)
     report = classifier.verify_certificate(p, verdict, effort)
     _emit(report.to_obj())
@@ -276,14 +292,15 @@ def build_parser() -> _Parser:
     sp = add("norm", "certified norm interval for a word", word=True)
     orbit_flags(sp)
     sp.add_argument("--radius", type=int, default=4, help="search radius for the upper bound")
-    sp.add_argument("--cert", default="", help="certificate JSON for the lower bound")
+    sp.add_argument("--cert", default="",
+                    help="certificate JSON for the lower bound (verified first)")
 
     sp = add("distortion", "CSV table n,lower,upper for powers of a word", word=True)
     orbit_flags(sp)
     sp.add_argument("--radius", type=int, default=4)
     sp.add_argument("--nmax", type=int, default=6, help="largest power")
     sp.add_argument("--cert", default="",
-                    help="certificate JSON (classified and written here if missing)")
+                    help="certificate JSON (verified first; classified and written here if missing)")
     sp.add_argument("--svg", default="", help="also write an SVG growth plot here")
 
     sp = add("classes", "preorders, tau classes, join decomposition")

@@ -4,16 +4,20 @@ import random
 import pytest
 
 from gpnorm import (
+    Certificate,
     Verdict,
     VerifyEffort,
     bounded_form_check,
     classify,
     expand_to_primary,
+    make_split_qm,
     parse_presentation,
+    parse_word,
     random_presentation,
     verify_certificate,
     word_literal,
 )
+from gpnorm import classifier
 from gpnorm.classifier import (
     BOUNDED_DECOMPOSITION,
     CITATION,
@@ -29,8 +33,7 @@ from gpnorm.classifier import (
 )
 from gpnorm.presentation import PresentationError
 
-EFFORT = VerifyEffort(kx_samples=15, defect_samples=60, vanish_samples=10,
-                      bounded_samples=2, orbit_depth=2, length_cap=8, seed=0)
+EFFORT = VerifyEffort(bounded_samples=2, orbit_depth=2, length_cap=8, seed=0)
 
 
 def pres(orders, edges=()):
@@ -197,3 +200,55 @@ def test_kx_invariance_violation_path_raag():
 def test_trace_is_informative(psl):
     v = classify(psl)
     assert any("maximal class" in line for line in v.trace)
+
+
+def _failed(rep):
+    return {c.name for c in rep.checks if c.status == "FAIL"}
+
+
+def _verify_edited_psl(psl, edit):
+    obj = certificate_to_obj(classify(psl).certificate)
+    edit(obj["payload"])
+    return verify_certificate(psl, Verdict(False, certificate_from_obj(psl, obj)), EFFORT)
+
+
+@pytest.mark.parametrize("edit,check", [
+    # sigma(b^2) = sigma(b^-1) must be -sigma(b): not odd, not a quasimorphism
+    (lambda pl: pl["sigma_right"]["table"].update({"b^2": "1"}), "split-odd-symmetry"),
+    # below 3 * sup |sigma|: the lower bound would be inflated 300-fold
+    (lambda pl: pl.update(defect="1/100"), "split-defect-constant"),
+    (lambda pl: pl["sigma_right"]["table"].update({"a": "0"}), "split-odd-support"),
+    (lambda pl: pl["sigma_right"].update(power_base="b"), "split-power-base"),  # b has order 3
+], ids=["not-odd", "defect-1/100", "support", "power-base"])
+def test_forged_split_qm_fails_named_check(psl, edit, check):
+    assert _failed(_verify_edited_psl(psl, edit)) == {check}
+
+
+def test_conservative_defect_passes(psl):
+    rep = _verify_edited_psl(psl, lambda pl: pl.update(defect="4"))
+    assert rep.passed, rep.to_obj()
+
+
+def test_split_qm_across_a_transvection_fails(f2):
+    # a -> a b is a transvection of F_2, so a b has norm 1 while qbar(a b) = 2:
+    # the split sums are not Aut-invariant and bound nothing
+    qm = make_split_qm(f2, ["a"])
+    cert = Certificate(SPLIT_QM, witness=parse_word(f2, "a b"), split_qm=qm)
+    rep = verify_certificate(f2, Verdict(False, cert), EFFORT)
+    assert _failed(rep) == {"split-orbit-in-factors"}
+    assert "tv(a,b)" in next(c.detail for c in rep.checks if c.status == "FAIL")
+
+
+def test_unbounded_verification_draws_no_random_numbers(monkeypatch, psl, f2, dinf):
+    z = pres({"a": None})
+    verdicts = [(p, classify(p)) for p in (z, psl, f2)]
+    assert [v.certificate.kind for _, v in verdicts] == [HOMOMORPHISM, SPLIT_QM, CITATION]
+
+    def no_random(*args, **kwargs):
+        raise AssertionError("random.Random called")
+
+    monkeypatch.setattr(classifier.random, "Random", no_random)
+    for p, v in verdicts:
+        assert verify_certificate(p, v, EFFORT).passed
+    with pytest.raises(AssertionError):  # the bounded uniform-bound check samples
+        verify_certificate(dinf, classify(dinf), EFFORT)

@@ -145,6 +145,26 @@ def test_verify_pass_and_fail(corpus_dir, tmp_path, capsys):
     assert any("tv(" in c["detail"] for c in rep["checks"] if c["status"] == "FAIL")
 
 
+def test_norm_and_distortion_verify_certificate_first(tmp_path, capsys):
+    graph = tmp_path / "c4c4.json"
+    graph.write_text(json.dumps({"vertices": [{"id": "a", "order": 4}, {"id": "b", "order": 4}]}))
+    cert = tmp_path / "c4c4.cert"
+    assert run(capsys, "classify", str(graph), "--out", str(cert))[0] == 0
+    norm = ["norm", str(graph), "a b", "--cert", str(cert), "--radius", "2"]
+    distortion = ["distortion", str(graph), "a b", "--cert", str(cert), "--nmax", "2",
+                  "--radius", "2"]
+    code, out, _ = run(capsys, *norm)
+    assert code == 0 and json.loads(out)["lower"] == "1/3"
+    # an understated defect would make norm report lower 100
+    obj = json.loads(cert.read_text())
+    obj["certificate"]["payload"]["defect"] = "1/100"
+    cert.write_text(json.dumps(obj))
+    for argv in (norm, distortion):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert len(err.strip().splitlines()) == 1 and "split-defect-constant" in err
+
+
 def test_gen_corpus_cli(tmp_path, capsys):
     out_dir = tmp_path / "corp"
     code, out, _ = run(
