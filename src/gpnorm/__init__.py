@@ -34,7 +34,7 @@ from .classifier import (
     verify_certificate,
 )
 from .corpus import gen_corpus, named_presentation, random_presentation, random_word
-from .norms import NormEstimate, distortion_table, norm_ball, norm_lower, norm_upper
+from .norms import distortion_table, norm_ball, norm_lower, norm_upper
 from .presentation import (
     Presentation,
     PresentationError,
@@ -79,7 +79,7 @@ __all__ = [
     "Certificate", "Report", "Verdict", "VerifyEffort", "classify",
     "verify_certificate",
     "gen_corpus", "named_presentation", "random_presentation", "random_word",
-    "NormEstimate", "distortion_table", "norm_ball", "norm_lower", "norm_upper",
+    "distortion_table", "norm_ball", "norm_lower", "norm_upper",
     "Presentation", "PresentationError", "VertexSpec", "expand_to_primary",
     "parse_presentation",
     "OddFunction", "SplitQM", "defect_bound", "default_odd_function",

@@ -11,6 +11,7 @@ invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -79,11 +80,16 @@ def _orbit_for(p: Presentation, cfg: RunConfig):
 
 def _load_verdict(p: Presentation, path: str) -> classifier.Verdict:
     """A verdict file, or a bare certificate read as the verdict its kind
-    implies."""
+    implies.  A file of the wrong shape raises ValueError naming it."""
     obj = json.loads(Path(path).read_text())
-    if "certificate" in obj:
-        return classifier.verdict_from_obj(p, obj)
-    cert = classifier.certificate_from_obj(p, obj)
+    try:
+        if "certificate" in obj:
+            return classifier.verdict_from_obj(p, obj)
+        cert = classifier.certificate_from_obj(p, obj)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(
+            f"malformed certificate file {path} ({type(exc).__name__}: {exc})"
+        ) from None
     return classifier.Verdict(cert.kind == classifier.BOUNDED_DECOMPOSITION, cert)
 
 
@@ -97,10 +103,6 @@ def _verified_cert(p: Presentation, cfg: RunConfig) -> classifier.Certificate | 
         return verdict.certificate
     print(f"gpnorm: certificate fails {failed.name}: {failed.detail}", file=sys.stderr)
     return None
-
-
-def _frac(f: Fraction) -> str:
-    return str(f)
 
 
 def cmd_classify(cfg: RunConfig) -> int:
@@ -138,7 +140,7 @@ def cmd_norm(cfg: RunConfig) -> int:
     _emit(
         {
             "word": word_literal(x),
-            "lower": _frac(lower),
+            "lower": str(lower),
             "upper": upper,
             "params": {
                 "orbit_depth": cfg.orbit_depth,
@@ -206,7 +208,7 @@ def cmd_distortion(cfg: RunConfig) -> int:
     rows = distortion_table(p, x, cert, cfg.n_max, orb, cfg.radius)
     print("n,lower,upper")
     for n, lo, up in rows:
-        print(f"{n},{_frac(lo)},{'' if up is None else up}")
+        print(f"{n},{lo!s},{'' if up is None else up}")
     if cfg.svg:
         _write_svg(cfg.svg, rows)
     return 0
@@ -263,7 +265,9 @@ def cmd_gen_corpus(cfg: RunConfig) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built on first use and shared by later calls."""
     top = _Parser(prog="gpnorm", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 

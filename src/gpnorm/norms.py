@@ -16,21 +16,11 @@ analytic defect.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .presentation import Presentation
 from .quasimorphisms import homogenize
 from .words import IDENTITY, NormalWord, invert, multiply, retract
-
-
-@dataclass(frozen=True)
-class NormEstimate:
-    element: NormalWord
-    lower: Fraction
-    upper: int | None
-    parameters: dict = field(default_factory=dict)
-    certificate_ref: str | None = None
 
 
 def _gen_list(gens) -> list[NormalWord]:

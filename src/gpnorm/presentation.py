@@ -338,8 +338,3 @@ def expand_to_primary(p: Presentation) -> Presentation:
             for y in groups[b]:
                 edges.append((x, y))
     return Presentation(new_vertices, edges)
-
-
-def neighborhoods(p: Presentation, v: str) -> tuple[frozenset[str], frozenset[str]]:
-    """(star, link) of a vertex: star = {v} + neighbors, link = star - {v}."""
-    return p.star(v), p.link(v)

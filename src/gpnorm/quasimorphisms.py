@@ -279,16 +279,12 @@ def _random_word(p: Presentation, rng: random.Random, max_sylls: int = 8, max_ex
 # -- serialization ---------------------------------------------------------
 
 
-def _frac_str(f: Fraction) -> str:
-    return str(f)
-
-
 def odd_function_to_obj(f: OddFunction) -> dict:
     return {
         "side": list(f.side),
-        "table": {word_literal(w): _frac_str(v) for w, v in f.table},
+        "table": {word_literal(w): str(v) for w, v in f.table},
         "power_base": word_literal(f.power_base) if f.power_base is not None else None,
-        "sup_norm": _frac_str(f.sup_norm),
+        "sup_norm": str(f.sup_norm),
         "zero": f.is_zero,
     }
 
@@ -311,8 +307,8 @@ def split_qm_to_obj(q: SplitQM) -> dict:
         "split_left": list(q.left),
         "sigma_left": odd_function_to_obj(q.sigma_left),
         "sigma_right": odd_function_to_obj(q.sigma_right),
-        "defect": _frac_str(q.defect),
-        "homogenized_defect": _frac_str(q.homogenized_defect),
+        "defect": str(q.defect),
+        "homogenized_defect": str(q.homogenized_defect),
     }
 
 

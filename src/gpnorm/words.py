@@ -11,7 +11,7 @@ words are equal as group elements iff they are identical, so NormalWord is
 hashable and usable as a set/dict key in orbit and ball enumeration.
 
 ``normal_form`` works on vertex indices with the orders and adjacency
-bitmasks that ``Presentation`` precomputes, in two stages over an
+bitmasks that ``Presentation`` precomputes, in up to three stages over an
 n-syllable input:
 
 * Reduction: one left-to-right pass keeping a reduced stack.  A new
@@ -19,15 +19,22 @@ n-syllable input:
   merges with the first same-vertex entry it meets, dropping that entry if
   the exponents cancel.  A cancelled entry commutes with everything above
   it, so removing it leaves the stack reduced.  The scan stops at the first
-  entry that does not commute, so the pass costs O(n) plus the total scan
-  length; in a complete graph the stack never holds more than |V| entries.
-* Ordering: the predecessors of a stack entry are the last earlier entries
-  of each vertex it does not commute with (its own vertex included), found
-  from the bitmasks in O(|V|) per entry.  The lex-least linear extension
-  is emitted greedily from the entries whose predecessors are all emitted.
-  That set holds at most one entry per vertex, so it is a bitmask of
-  vertices whose lowest set bit is the least key; exponents never decide.
-  The ordering costs O(n*|V|).
+  entry that does not commute.  The pass costs O(n + total back-scan
+  length), and the scans can add up to Theta(n^2): in (x y)^k (z z^-1)^k
+  with z commuting with x and y, every z scans back over all 2k entries.
+  In a complete graph the stack never holds more than |V| entries.
+* Chain exit: if no two consecutive stack entries commute, every entry
+  depends on the one below it, so the dependency order is a chain whose
+  only linear extension is the stack itself, which is returned as it
+  stands.  The check costs O(n).  Free products (no edges) always exit
+  here.
+* Ordering: otherwise, the predecessors of a stack entry are the last
+  earlier entries of each vertex it does not commute with (its own vertex
+  included), found from the bitmasks in O(|V|) per entry.  The lex-least
+  linear extension is emitted greedily from the entries whose predecessors
+  are all emitted.  That set holds at most one entry per vertex, so it is a
+  bitmask of vertices whose lowest set bit is the least key; exponents
+  never decide.  The ordering costs O(n*|V|).
 
 Finite-order exponents are stored in {1, ..., n-1}; infinite-order exponents
 are arbitrary nonzero integers.
@@ -101,6 +108,15 @@ def normal_form(p: Presentation, word) -> NormalWord:
             vs.append(v)
             ss.append(syl if type(syl) is Syllable and syl.exponent == e
                       else Syllable(name, e))
+    # chain exit: if no two consecutive entries commute, each entry depends
+    # on the one below it, so the stack order is the only linear extension
+    prev = vs[0] if vs else 0
+    for v in vs:
+        if adj[v] >> prev & 1:
+            break
+        prev = v
+    else:
+        return NormalWord(tuple(ss))
     # ordering: predecessor counts and successor lists of the stack entries;
     # ready has bit v set when pending[v] is an entry of vertex v whose
     # predecessors have all been emitted

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from gpnorm.cli import main
+from gpnorm.cli import build_parser, main
 from gpnorm.corpus import gen_corpus
 
 
@@ -74,6 +74,20 @@ def test_norm_with_custom_generators(corpus_dir, capsys):
     )
     assert code == 0
     assert json.loads(out)["upper"] == 1  # a b^4 is itself an orbit element
+
+
+def test_parser_is_built_once_and_keeps_no_values(corpus_dir, capsys):
+    assert build_parser() is build_parser()
+    argv = ["orbit", str(corpus_dir / "z2.json"), "--orbit-depth", "2", "--len-cap", "4",
+            "--gen", "tv(a,b)", "--seed-word", "a"]
+    first = run(capsys, *argv)
+    assert first[0] == 0
+    assert first[1].splitlines() == ["a", "a b^-1", "a b", "a b^-2", "a b^2"]
+    assert run(capsys, *argv) == first
+    ns = build_parser().parse_args(argv)
+    assert ns.gen == ["tv(a,b)"] and ns.seed_word == ["a"]
+    ns = build_parser().parse_args(["orbit", "g.json"])
+    assert ns.gen == [] and ns.seed_word == []
 
 
 def test_distortion_csv_and_cert(corpus_dir, tmp_path, capsys):
@@ -163,6 +177,30 @@ def test_norm_and_distortion_verify_certificate_first(tmp_path, capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert len(err.strip().splitlines()) == 1 and "split-defect-constant" in err
+
+
+def test_malformed_certificate_file_exits_1(corpus_dir, tmp_path, capsys):
+    graph = str(corpus_dir / "psl.json")
+    verdict = tmp_path / "v.json"
+    assert run(capsys, "classify", graph, "--out", str(verdict))[0] == 0
+    obj = json.loads(verdict.read_text())
+    assert obj["certificate"]["kind"] == "SPLIT_QM"
+    listed = dict(obj, certificate=[])
+    table_list = json.loads(verdict.read_text())
+    table_list["certificate"]["payload"]["sigma_right"]["table"] = []
+    no_sigma = obj["certificate"]  # a bare certificate
+    del no_sigma["payload"]["sigma_left"]
+    for name, bad in [("no_sigma.json", no_sigma), ("listed.json", listed),
+                      ("table_list.json", table_list)]:
+        path = tmp_path / name
+        path.write_text(json.dumps(bad))
+        for argv in (["verify", graph, str(path)],
+                     ["norm", graph, "a b", "--cert", str(path), "--radius", "1"],
+                     ["distortion", graph, "a b", "--cert", str(path), "--nmax", "1",
+                      "--radius", "1"]):
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == ""
+            assert err.count("\n") == 1 and f"malformed certificate file {path}" in err
 
 
 def test_gen_corpus_cli(tmp_path, capsys):

@@ -154,6 +154,10 @@ def test_canonical_form_matches_oracle_random_graphs(seed):
     # finite-order wrap: b^2 b = b^3 = 1 in C3
     (PSL, "b^2 b", ""),
     (PSL, "a b^2 b a", ""),
+    # only the bottom pair commutes: the stack is not a chain
+    (PATH, "b a c a", "a b c a"),
+    # a chain whose vertices are not in index order is emitted as it stands
+    (PSL, "b a b^2 a", "b a b^2 a"),
 ])
 def test_named_reduction_cases(p, text, want):
     sylls = [Syllable(v, int(e or 1)) for v, _, e in (t.partition("^") for t in text.split())]
