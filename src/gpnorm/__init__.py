@@ -19,7 +19,6 @@ from .classes import (
     JoinDecomposition,
     TauStructure,
     bounded_form_check,
-    is_lower_cone,
     join_decomposition,
     lower_cone_violation,
     preorder,
@@ -74,7 +73,7 @@ __all__ = [
     "AutGen", "OrbitSet", "apply", "apply_gen", "aut0_generators",
     "make_generator", "orbit", "parse_generator",
     "JoinDecomposition", "TauStructure", "bounded_form_check",
-    "is_lower_cone", "join_decomposition", "lower_cone_violation",
+    "join_decomposition", "lower_cone_violation",
     "preorder", "tau_structure",
     "Certificate", "Report", "Verdict", "VerifyEffort", "classify",
     "verify_certificate",

@@ -193,18 +193,6 @@ def tau_structure(p: Presentation) -> TauStructure:
     )
 
 
-def is_lower_cone(p: Presentation, X: Iterable[str]) -> bool:
-    """True iff X is downward closed under <=_tau."""
-    xs = set(X)
-    for x in xs:
-        p.index(x)
-    for t in xs:
-        for s in p.vertex_ids:
-            if s not in xs and preorder(p, LEQ_TAU, s, t):
-                return False
-    return True
-
-
 def lower_cone_violation(p: Presentation, X: Iterable[str]) -> tuple[str, str] | None:
     """A pair (s, t) with s <=_tau t, t in X, s outside X, or None."""
     xs = set(X)

@@ -185,7 +185,7 @@ def _classify(p: Presentation, trace: list[str]) -> Verdict:
         if cl.bounded_form_check(p):
             return _bounded_verdict(p, trace)
         if mtype.kind == cl.FREE:
-            if not cl.is_lower_cone(p, M):
+            if cl.lower_cone_violation(p, M) is not None:
                 raise AssertionError(f"expected lower cone M = {M} in {p!r}")
             w = commutator(p, generator(p, M[0]), generator(p, M[1]))
             cert = Certificate(
@@ -197,7 +197,7 @@ def _classify(p: Presentation, trace: list[str]) -> Verdict:
             )
             return Verdict(False, cert, tuple(trace + ["retract to free class M"]))
         if mtype.kind == cl.FREE_ABELIAN and mtype.rank == 1:
-            if not cl.is_lower_cone(p, M):
+            if cl.lower_cone_violation(p, M) is not None:
                 raise AssertionError(f"expected lower cone M = {M} in {p!r}")
             cert = Certificate(
                 HOMOMORPHISM,

@@ -17,13 +17,14 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 from . import classes as cl
 from . import classifier, corpus
 from .automorphisms import aut0_generators, orbit, parse_generator
 from .norms import distortion_table, norm_lower, norm_upper
 from .presentation import Presentation, PresentationError, expand_to_primary, parse_presentation
-from .words import normal_form, parse_word, word_literal
+from .words import NormalWord, normal_form, parse_word, word_literal
 
 
 @dataclass(frozen=True)
@@ -60,18 +61,51 @@ def _load(path: str) -> Presentation:
     return expand_to_primary(p)
 
 
+def _load_with_words(path: str) -> tuple[Presentation, Callable[[str], NormalWord]]:
+    """The primary presentation of a file and a word-literal parser for it.
+
+    The parser also reads a syllable v^e of a cyclic vertex v of composite
+    order as v.0^e v.1^e ..., its image under the isomorphism of
+    expand_to_primary (by the Chinese remainder theorem, a generator of C_n
+    goes to generators of the prime-power parts).  A vertex given as several
+    factors is not cyclic: naming it is an error that lists its primary ids.
+    """
+    raw = parse_presentation(Path(path).read_text())
+    p = expand_to_primary(raw)
+    images = {}
+    for spec in raw.vertices:
+        ids = expand_to_primary(Presentation([spec], [])).vertex_ids
+        if ids != (spec.id,):
+            images[spec.id] = ids
+    noncyclic = {v.id for v in raw.vertices if v.factors is not None and len(v.factors) > 1}
+
+    def word(text: str) -> NormalWord:
+        tokens = []
+        for token in text.split():
+            v, hat, e = token.partition("^")
+            if v in noncyclic:
+                raise ValueError(
+                    f"vertex {v!r} has several factors and is not cyclic; "
+                    f"name its primary vertices {' '.join(images[v])}"
+                )
+            tokens.extend(w + hat + e for w in images.get(v, (v,)))
+        return parse_word(p, " ".join(tokens))
+
+    return p, word
+
+
 def _emit(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _orbit_for(p: Presentation, cfg: RunConfig):
+def _orbit_for(p: Presentation, word: Callable[[str], NormalWord], cfg: RunConfig):
     gens = (
         [parse_generator(p, g) for g in cfg.gens]
         if cfg.gens
         else aut0_generators(p)
     )
     seeds = (
-        [parse_word(p, s) for s in cfg.seeds]
+        [word(s) for s in cfg.seeds]
         if cfg.seeds
         else [normal_form(p, [(v, 1)]) for v in p.vertex_ids]
     )
@@ -116,20 +150,20 @@ def cmd_classify(cfg: RunConfig) -> int:
 
 
 def cmd_nf(cfg: RunConfig) -> int:
-    p = _load(cfg.graph)
-    print(word_literal(parse_word(p, cfg.word)))
+    _, word = _load_with_words(cfg.graph)
+    print(word_literal(word(cfg.word)))
     return 0
 
 
 def cmd_norm(cfg: RunConfig) -> int:
-    p = _load(cfg.graph)
-    x = parse_word(p, cfg.word)
+    p, word = _load_with_words(cfg.graph)
+    x = word(cfg.word)
     cert = None
     if cfg.cert:
         cert = _verified_cert(p, cfg)
         if cert is None:
             return 2
-    orb = _orbit_for(p, cfg)
+    orb = _orbit_for(p, word, cfg)
     upper = norm_upper(p, x, orb, cfg.radius)
     lower = Fraction(0)
     if cert is not None:
@@ -188,8 +222,8 @@ def _write_svg(path: str, rows) -> None:
 
 
 def cmd_distortion(cfg: RunConfig) -> int:
-    p = _load(cfg.graph)
-    x = parse_word(p, cfg.word)
+    p, word = _load_with_words(cfg.graph)
+    x = word(cfg.word)
     cert = None
     if cfg.cert:
         cert_path = Path(cfg.cert)
@@ -204,7 +238,7 @@ def cmd_distortion(cfg: RunConfig) -> int:
                 json.dumps(classifier.certificate_to_obj(cert), indent=2, sort_keys=True)
                 + "\n"
             )
-    orb = _orbit_for(p, cfg)
+    orb = _orbit_for(p, word, cfg)
     rows = distortion_table(p, x, cert, cfg.n_max, orb, cfg.radius)
     print("n,lower,upper")
     for n, lo, up in rows:
@@ -228,8 +262,8 @@ def cmd_classes(cfg: RunConfig) -> int:
 
 
 def cmd_orbit(cfg: RunConfig) -> int:
-    p = _load(cfg.graph)
-    orb = _orbit_for(p, cfg)
+    p, word = _load_with_words(cfg.graph)
+    orb = _orbit_for(p, word, cfg)
     for w in orb.sorted_elements():
         print(word_literal(w) or "e")
     print(

@@ -65,7 +65,9 @@ def norm_upper(
     factorization exists within the radius.
 
     A precomputed ``ball`` (from ``norm_ball``) may be passed to amortize the
-    BFS over many queries at the same radius.
+    BFS over many queries at the same radius.  It must be symmetric, as
+    ``norm_ball``'s is: u^-1 lies in it at the distance of u, so x = u^-1 *
+    (u x) is found by scanning u rather than u^-1.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
@@ -84,7 +86,7 @@ def norm_upper(
     for u, du in ball.items():
         if du == 0:
             continue
-        rest = multiply(p, invert(p, u), x)
+        rest = multiply(p, u, x)
         dv = ball.get(rest)
         if dv is None:
             continue
@@ -151,11 +153,3 @@ def distortion_table(
             lower = Fraction(0)
         rows.append((n, lower, norm_upper(p, xn, gens, radius, ball=ball)))
     return rows
-
-
-def is_reported_undistorted(p: Presentation, x: NormalWord, cert) -> bool:
-    """True iff the certificate proves a positive linear lower bound for x."""
-    try:
-        return norm_lower(p, x, cert) > 0
-    except ValueError:
-        return False

@@ -36,6 +36,30 @@ n-syllable input:
   bitmask of vertices whose lowest set bit is the least key; exponents
   never decide.  The ordering costs O(n*|V|).
 
+``multiply`` does not renormalise x*y from scratch.  It starts from the
+syllables of x and their vertex indices, and adds the syllables of y one at
+a time (the Anisimov-Knuth construction of the lexicographic normal form,
+Diekert-Rozenberg, The Book of Traces, 1995).  A new syllable of vertex v
+scans back over the trailing entries that commute with v:
+
+* if the scan meets an entry of vertex v, the two merge (mod the order),
+  and the entry is deleted if they cancel;
+* otherwise the syllable is inserted just before the first entry after the
+  scan's stop whose vertex index is larger than v's, or at the end.
+
+Each step leaves the word canonical.  A merge changes no vertex, so the
+dependency order and the lex-least extension, keyed by vertex index alone,
+stay the same.  A cancelled entry commutes with every entry after it, so it
+has no successors, and the greedy ordering emits the others as before.  An
+inserted entry depends exactly on the entries up to the scan's stop, so the
+greedy ordering emits it at the first later step whose own pick has a larger
+index: the insertion point.  Scans over a lex-ordered word can be long: for
+(p q)^n * (c d)^n, with c, d before p, q and commuting with them, every
+syllable of the right factor scans back over all of (p q)^n.  So
+``multiply`` counts its back- and forward-scan steps, and once they pass
+(|x|+|y|)*|V|, the bound of the ordering stage above, it returns
+``normal_form`` of the concatenation instead.
+
 Finite-order exponents are stored in {1, ..., n-1}; infinite-order exponents
 are arbitrary nonzero integers.
 """
@@ -153,7 +177,48 @@ def normal_form(p: Presentation, word) -> NormalWord:
 
 
 def multiply(p: Presentation, x: NormalWord, y: NormalWord) -> NormalWord:
-    return normal_form(p, x.syllables + y.syllables)
+    """Canonical form of x*y for canonical x and y: the syllables of y are
+    added to those of x one at a time, each step keeping the word canonical;
+    after (|x|+|y|)*|V| scan steps it hands over to ``normal_form``."""
+    xs, ys = x.syllables, y.syllables
+    if not xs:
+        return y
+    if not ys:
+        return x
+    index, orders, adj = p._index, p._orders, p._adj_mask
+    try:
+        vs = [index[v] for v, _ in xs]
+        ws = [index[v] for v, _ in ys]
+    except KeyError:
+        return normal_form(p, xs + ys)  # raises on the unknown vertex
+    ss = list(xs)
+    budget = (len(xs) + len(ys)) * len(orders)
+    for syl, v in zip(ys, ws):
+        m = adj[v]
+        j = top = len(vs) - 1
+        while j >= 0 and vs[j] != v and m >> vs[j] & 1:
+            j -= 1
+        budget -= top - j
+        if j >= 0 and vs[j] == v:
+            name, e = syl
+            e += ss[j].exponent
+            n = orders[v]
+            if n is not None:
+                e %= n
+            if e:
+                ss[j] = Syllable(name, e)
+            else:
+                del vs[j], ss[j]
+        else:
+            k = j + 1
+            while k < len(vs) and vs[k] < v:
+                k += 1
+            budget -= k - j - 1
+            vs.insert(k, v)
+            ss.insert(k, syl)
+        if budget < 0:
+            return normal_form(p, xs + ys)
+    return NormalWord(tuple(ss))
 
 
 def invert(p: Presentation, x: NormalWord) -> NormalWord:

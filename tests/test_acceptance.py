@@ -26,7 +26,7 @@ from gpnorm import (
     defect_bound,
     generator,
     invert,
-    is_lower_cone,
+    lower_cone_violation,
     make_split_qm,
     multiply,
     norm_ball,
@@ -225,7 +225,7 @@ def test_criterion_5_kernel_invariance():
     while trials < 1000:
         p = random_presentation(rng, max_vertices=6)
         X = _random_lower_cone(p, rng)
-        assert is_lower_cone(p, X)
+        assert lower_cone_violation(p, X) is None
         gens = aut0_generators(p)
         if not gens:
             continue

@@ -2,7 +2,6 @@ import pytest
 
 from gpnorm import (
     bounded_form_check,
-    is_lower_cone,
     join_decomposition,
     lower_cone_violation,
     parse_presentation,
@@ -102,16 +101,13 @@ def test_hasse_and_json():
 
 def test_lower_cones():
     p = pres({"a": None, "b": None, "c": None}, [("a", "b"), ("b", "c")])
-    assert is_lower_cone(p, ["a", "b", "c"])
-    assert is_lower_cone(p, ["a", "c"])  # the minimal class
-    assert not is_lower_cone(p, ["b"])  # a <=_tau b with a outside
-    s, t = lower_cone_violation(p, ["b"])
+    assert lower_cone_violation(p, ["a", "b", "c"]) is None
+    assert lower_cone_violation(p, ["a", "c"]) is None  # the minimal class
+    s, t = lower_cone_violation(p, ["b"])  # a <=_tau b with a outside
     assert t == "b" and s in {"a", "c"}
-    assert not is_lower_cone(p, ["a"])  # c ~tau a with c outside
-    s, t = lower_cone_violation(p, ["a"])
+    s, t = lower_cone_violation(p, ["a"])  # c ~tau a with c outside
     assert t == "a" and s == "c"
-    assert lower_cone_violation(p, ["a", "c"]) is None
-    assert is_lower_cone(p, [])
+    assert lower_cone_violation(p, []) is None
 
 
 def test_join_decomposition_shapes():

@@ -55,6 +55,26 @@ def test_classify_expands_composite_orders(tmp_path, capsys):
     assert code == 0 and json.loads(out)["bounded"] is True
 
 
+def test_composite_order_vertex_in_words(corpus_dir, tmp_path, capsys):
+    # a of order 6 expands to a.0 (C_2) and a.1 (C_3); a^e reads as a.0^e a.1^e
+    c6 = str(corpus_dir / "c6_star_z.json")
+    for text, want in [("a b", "a.0 a.1 b"), ("a.0 a.1 b", "a.0 a.1 b"), ("a^6", ""),
+                       ("a^-1 b a^7", "a.0 a.1^2 b a.0 a.1")]:
+        assert run(capsys, "nf", c6, text) == (0, want + "\n", "")
+    code, out, _ = run(capsys, "norm", c6, "a^5", "--radius", "2")
+    assert code == 0 and json.loads(out)["word"] == "a.0 a.1^2"
+    code, out, _ = run(capsys, "distortion", c6, "a", "--nmax", "2", "--radius", "2")
+    assert code == 0 and out.splitlines()[0] == "n,lower,upper"
+    code, out, _ = run(capsys, "orbit", c6, "--seed-word", "a b^-1", "--orbit-depth", "0")
+    assert (code, out) == (0, "a.0 a.1 b^-1\n")
+    # a vertex given as several factors is not cyclic
+    path = tmp_path / "c2xc3.json"
+    path.write_text(json.dumps({"vertices": [{"id": "a", "factors": [2, 3]}]}))
+    code, out, err = run(capsys, "nf", str(path), "a")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "a.0 a.1" in err
+
+
 def test_norm_json(corpus_dir, capsys):
     code, out, _ = run(
         capsys, "norm", str(corpus_dir / "dinf.json"), "a b a",

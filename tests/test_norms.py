@@ -16,7 +16,7 @@ from gpnorm import (
     parse_word,
     power,
 )
-from gpnorm.norms import is_reported_undistorted
+from gpnorm.norms import _ball
 
 
 def pres(orders, edges=()):
@@ -56,6 +56,16 @@ def test_norm_upper_mitm_matches_direct():
         mitm = norm_upper(p, x, orb, 6)
         if direct is not None:
             assert mitm is not None and mitm <= direct
+
+
+def test_norm_upper_mitm_equals_bfs_distance(psl):
+    # the meet-in-the-middle scan multiplies by u, not u^-1, which relies on
+    # the half-radius ball being symmetric
+    orb = std_orbit(psl, 2, 4)
+    dist = _ball(psl, list(orb.elements), 4)
+    assert max(dist.values()) == 4
+    for x, d in dist.items():
+        assert norm_upper(psl, x, orb, 4) == d
 
 
 def test_norm_upper_ball_reuse():
@@ -127,8 +137,9 @@ def test_distortion_table_without_cert(z2):
     assert all(lo == 0 for _, lo, _ in rows)
 
 
-def test_is_reported_undistorted(psl, z2):
+def test_norm_lower_positive_zero_or_refused(psl, z2):
     psl_cert = classify(psl).certificate
-    assert is_reported_undistorted(psl, parse_word(psl, "a b"), psl_cert)
-    assert not is_reported_undistorted(psl, generator(psl, "a"), psl_cert)
-    assert not is_reported_undistorted(z2, generator(z2, "a"), classify(z2).certificate)
+    assert norm_lower(psl, parse_word(psl, "a b"), psl_cert) > 0
+    assert norm_lower(psl, generator(psl, "a"), psl_cert) == 0
+    with pytest.raises(ValueError):
+        norm_lower(z2, generator(z2, "a"), classify(z2).certificate)

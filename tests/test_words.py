@@ -23,6 +23,7 @@ from gpnorm import (
     split_free_product,
     word_literal,
 )
+from gpnorm import words
 from gpnorm.presentation import PresentationError
 
 PATH = parse_presentation(
@@ -224,6 +225,69 @@ def test_multiply_invert_power():
     assert power(PSL, x, 3) == parse_word(PSL, "a b a b a b")
     assert power(PSL, x, -2) == invert(PSL, power(PSL, x, 2))
     assert power(PSL, x, 0) == IDENTITY
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_multiply_matches_normal_form(seed):
+    # differential against renormalising the concatenation; half of the
+    # right factors are near-inverses of the left, so cancellation runs deep
+    rng = random.Random(f"multiply-{seed}")
+    for _ in range(30):
+        p = random_presentation(rng, rng.randint(1, 16), rng.random(),
+                                orders=(2, 3, 4, 5, 8, 9, "inf"))
+        ids = p.vertex_ids
+
+        def raw(n):
+            return [(rng.choice(ids), rng.choice([-3, -2, -1, 1, 2, 3])) for _ in range(n)]
+
+        x = normal_form(p, raw(rng.randint(0, 400)))
+        if rng.random() < 0.5:
+            y = normal_form(p, raw(rng.randint(0, 400)))
+        else:
+            inv = list(invert(p, x).syllables)
+            for _ in range(rng.randint(0, 3)):
+                inv.insert(rng.randint(0, len(inv)), raw(1)[0])
+            y = normal_form(p, inv)
+        assert multiply(p, x, y) == normal_form(p, x.syllables + y.syllables)
+
+
+@pytest.mark.parametrize("p, x, y, want", [
+    # a meets a across the commuting b: merge in place
+    (PATH, "a b", "a", "a^2 b"),
+    # b cancels in the middle; the entries around it stay in order
+    (PATH, "a b c", "b^-1", "a c"),
+    # b commutes with everything in c a, so it goes before c, the first
+    # larger index after the scan's stop
+    (PATH, "c a", "b", "b c a"),
+    # free product: every syllable stops at the last entry
+    (PSL, "a b", "a b^2", "a b a b^2"),
+])
+def test_multiply_named_cases(p, x, y, want):
+    x, y = parse_word(p, x), parse_word(p, y)
+    got = multiply(p, x, y)
+    assert got == normal_form(p, x.syllables + y.syllables)
+    assert word_literal(got) == want
+
+
+def test_multiply_hands_long_scans_to_normal_form(monkeypatch):
+    # c and d come first and commute with p and q: inserted one at a time,
+    # each syllable of (c d)^n would scan back over all of (p q)^n
+    p = parse_presentation({
+        "vertices": [{"id": v, "order": "inf"} for v in "cdpq"],
+        "edges": [["c", "p"], ["c", "q"], ["d", "p"], ["d", "q"]],
+    })
+    n = 200
+    x, y = parse_word(p, "p q " * n), parse_word(p, "c d " * n)
+    want = parse_word(p, "c d " * n + "p q " * n)
+    calls = []
+
+    def counting(p, word):
+        calls.append(len(word))
+        return normal_form(p, word)
+
+    monkeypatch.setattr(words, "normal_form", counting)
+    assert words.multiply(p, x, y) == want
+    assert calls == [4 * n]
 
 
 def test_commutator_trivial_when_commuting(z2):
