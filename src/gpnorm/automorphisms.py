@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import classes as cl
-from .presentation import Presentation, PresentationError, _prime_power_parts
+from .presentation import Presentation, PresentationError, _factorization, _prime_power_parts
 from .words import NormalWord, Syllable, exponent_weight, normal_form, power
 
 LABELLED_GRAPH = "LABELLED_GRAPH"
@@ -148,13 +148,12 @@ def parse_generator(p: Presentation, text: str) -> AutGen:
 
 
 def _unit_group_generators(n: int) -> list[int]:
-    """Generators of (Z/n)^* for a prime power n: a primitive root for odd
-    primes, {-1, 5} for 2^k with k >= 3, {-1} for 4, nothing for 2."""
-    prime = None
-    for c in range(2, n + 1):
-        if n % c == 0:
-            prime = c
-            break
+    """Generators of (Z/n)^* for a prime power n: the least primitive root
+    for odd primes, {-1, 5} for 2^k with k >= 3, {-1} for 4, nothing for 2.
+
+    A unit g is a primitive root iff g^(phi/q) != 1 for every prime q
+    dividing phi = phi(n), since its order divides phi."""
+    prime = _factorization(n)[0][0]
     if prime == 2:
         if n == 2:
             return []
@@ -162,14 +161,9 @@ def _unit_group_generators(n: int) -> list[int]:
             return [3]
         return [n - 1, 5]
     phi = n - n // prime
+    qs = [q for q, _ in _factorization(phi)]
     for g in range(2, n):
-        if math.gcd(g, n) != 1:
-            continue
-        order, acc = 1, g % n
-        while acc != 1:
-            acc = acc * g % n
-            order += 1
-        if order == phi:
+        if g % prime and all(pow(g, phi // q, n) != 1 for q in qs):
             return [g]
     raise AssertionError(f"no primitive root mod {n}")
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .presentation import Presentation, PresentationError, _prime_power_parts
+from .presentation import Presentation, PresentationError, _factorization
 
 LEQ = "LEQ"
 LEQ_S = "LEQ_S"
@@ -48,14 +48,10 @@ def _prime_of(p: Presentation, v: str) -> int | None:
     n = p.order(v)
     if n is None:
         return None
-    parts = _prime_power_parts(n)
+    parts = _factorization(n)
     if len(parts) != 1:
         raise PresentationError(f"vertex {v!r} has non-primary order {n}")
-    q = parts[0]
-    for cand in range(2, q + 1):
-        if q % cand == 0:
-            return cand
-    raise AssertionError
+    return parts[0][0]
 
 
 def preorder(p: Presentation, kind: str, v: str, w: str) -> bool:
@@ -194,7 +190,27 @@ def tau_structure(p: Presentation) -> TauStructure:
 
 
 def lower_cone_violation(p: Presentation, X: Iterable[str]) -> tuple[str, str] | None:
-    """A pair (s, t) with s <=_tau t, t in X, s outside X, or None."""
+    """A pair (s, t) with s <=_tau t, t in X, s outside X, or None.
+
+    None exactly when the retraction kernel K_X (the normal closure of the
+    vertices outside X) is invariant under the generators that
+    aut0_generators returns, which generate the pure automorphism group
+    (Laurence 1995; Corredor-Gutierrez 2012 for graph products of abelian
+    groups).  K_X is invariant iff each generator and its inverse map every
+    killed vertex v into K_X, and the retraction r onto W_X detects K_X:
+
+    - a factor automorphism maps v to a power v^m, and r(v^m) = 1;
+    - a partial conjugation maps v to v or to u v u^-1, and r(u v u^-1) =
+      r(u) r(u)^-1 = 1;
+    - a transvection tv(s, t) fixes v unless s = v, and tv(v, t) or its
+      inverse maps v to v t^(+-q), with r(v t^(+-q)) = r(t)^(+-q).  Here
+      q < |t| (transvection_exponent), so t^q != 1, and r(t) = t for t in X,
+      1 otherwise.
+
+    So K_X is moved exactly by tv(s, t) with s outside X and t in X, which
+    exists exactly when s <=_tau t: X is a lower cone.  The labelled graph
+    automorphisms are not pure and are not in the generating set.
+    """
     xs = set(X)
     for t in sorted(xs, key=p.index):
         for s in p.vertex_ids:

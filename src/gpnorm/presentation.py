@@ -262,8 +262,12 @@ def parse_presentation(source: str | dict) -> Presentation:
             raise PresentationError(f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict) or "vertices" not in obj:
         raise PresentationError("presentation JSON must contain 'vertices'")
+    if not isinstance(obj["vertices"], (list, tuple)):
+        raise PresentationError("'vertices' must be a list of vertex objects")
     verts = []
     for item in obj["vertices"]:
+        if not isinstance(item, dict):
+            raise PresentationError(f"vertex {item!r} is not an object")
         if "id" not in item:
             raise PresentationError("vertex without id")
         vid = str(item["id"])
@@ -272,16 +276,23 @@ def parse_presentation(source: str | dict) -> Presentation:
         if "order" in item:
             verts.append(VertexSpec(vid, order=_order_from_json(item["order"])))
         elif "factors" in item:
+            if not isinstance(item["factors"], (list, tuple)):
+                raise PresentationError(f"vertex {vid!r}: 'factors' must be a list")
             fs = tuple(_order_from_json(f) for f in item["factors"])
             verts.append(VertexSpec(vid, factors=fs))
         else:
             raise PresentationError(f"vertex {vid!r}: order or factors required")
-    edges = [(str(a), str(b)) for a, b in obj.get("edges", [])]
-    return Presentation(verts, edges)
+    edges = obj.get("edges", [])
+    if not isinstance(edges, (list, tuple)) or not all(
+        isinstance(e, (list, tuple)) and len(e) == 2 for e in edges
+    ):
+        raise PresentationError("'edges' must be a list of 2-element lists")
+    return Presentation(verts, [(str(a), str(b)) for a, b in edges])
 
 
-def _prime_power_parts(n: int) -> list[int]:
-    """Prime-power factorization by trial division, sorted by prime."""
+def _factorization(n: int) -> list[tuple[int, int]]:
+    """(prime, prime-power part) pairs of n by trial division, sorted by
+    prime."""
     parts = []
     m = n
     p = 2
@@ -291,11 +302,16 @@ def _prime_power_parts(n: int) -> list[int]:
             while m % p == 0:
                 q *= p
                 m //= p
-            parts.append(q)
+            parts.append((p, q))
         p += 1
     if m > 1:
-        parts.append(m)
+        parts.append((m, m))
     return parts
+
+
+def _prime_power_parts(n: int) -> list[int]:
+    """Prime-power factorization, sorted by prime."""
+    return [q for _, q in _factorization(n)]
 
 
 def expand_to_primary(p: Presentation) -> Presentation:

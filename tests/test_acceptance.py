@@ -45,6 +45,7 @@ from gpnorm import (
 )
 from gpnorm.classifier import certificate_from_obj, certificate_to_obj, kx_invariance_violation
 from gpnorm.quasimorphisms import _random_word, homogenize
+from test_classifier import kx_answer, kx_invariance_referee
 
 
 def pres(orders, edges=()):
@@ -371,15 +372,26 @@ CHEAP = VerifyEffort(bounded_samples=1, orbit_depth=1, length_cap=5, seed=8)
 
 def test_criterion_8_certificate_verification():
     """verify_certificate passes on every classify output from criterion 3's
-    corpus (cheap effort settings); a corrupted chain fails with an exhibited
-    violating generator."""
+    corpus (cheap effort settings), and on every distinct chain step of the
+    exhaustive part the closed-form kernel check agrees with the referee
+    that applies every Aut0 generator; a corrupted chain fails with an
+    exhibited violating generator."""
     start = time.monotonic()
     count = 0
+    steps = set()
     for p in _exhaustive_corpus():
         v = classify(p)
         rep = verify_certificate(p, v, CHEAP)
         assert rep.passed, (repr(p), rep.to_obj())
         count += 1
+        cur = p
+        for step in v.certificate.chain:
+            steps.add((cur, step))
+            cur = cur.sub(step)
+    # the closed-form kernel check agrees with applying every generator
+    for cur, step in steps:
+        want = kx_answer(kx_invariance_referee(cur, step))
+        assert kx_answer(kx_invariance_violation(cur, step)) == want, (repr(cur), step)
     rng = random.Random(88)
     for _ in range(200):
         p = random_presentation(rng, max_vertices=6)
@@ -398,4 +410,5 @@ def test_criterion_8_certificate_verification():
     fail = next(c for c in rep.checks if c.status == "FAIL")
     assert "tv(" in fail.detail
     report("criterion-8 certificate verification", start,
-           f"{count} certificates verified; tampered cert FAILs with {fail.detail!r}")
+           f"{count} certificates verified, {len(steps)} chain steps refereed; "
+           f"tampered cert FAILs with {fail.detail!r}")

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -7,6 +8,7 @@ from gpnorm import (
     apply,
     apply_gen,
     aut0_generators,
+    classify,
     generator,
     invert,
     make_generator,
@@ -58,6 +60,19 @@ def test_unit_group_generators():
                     frontier.append(y)
         from math import gcd
         assert group == {k for k in range(1, n) if gcd(k, n) == 1}
+
+
+def test_large_prime_order_is_fast():
+    # C_p * Z with the Mersenne prime p = 2^31 - 1, whose least primitive
+    # root is 7: factoring p and phi(p) replaces loops up to the order
+    p = pres({"a": 2**31 - 1, "b": None})
+    start = time.perf_counter()
+    assert classify(p).certificate.kind == "HOMOMORPHISM"
+    assert time.perf_counter() - start < 1
+    start = time.perf_counter()
+    gens = aut0_generators(p)
+    assert time.perf_counter() - start < 1
+    assert [g.literal() for g in gens if g.kind == FACTOR] == ["factor(a,7)", "factor(b,-1)"]
 
 
 def test_transvection_exponent():

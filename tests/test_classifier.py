@@ -1,5 +1,7 @@
+import itertools
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -10,6 +12,7 @@ from gpnorm import (
     bounded_form_check,
     classify,
     expand_to_primary,
+    lower_cone_violation,
     make_split_qm,
     parse_presentation,
     parse_word,
@@ -17,7 +20,8 @@ from gpnorm import (
     verify_certificate,
     word_literal,
 )
-from gpnorm import classifier
+from gpnorm import automorphisms, classifier
+from gpnorm.automorphisms import apply_gen, aut0_generators
 from gpnorm.classifier import (
     BOUNDED_DECOMPOSITION,
     CITATION,
@@ -32,6 +36,7 @@ from gpnorm.classifier import (
     verdict_to_obj,
 )
 from gpnorm.presentation import PresentationError
+from gpnorm.words import generator, retract
 
 EFFORT = VerifyEffort(bounded_samples=2, orbit_depth=2, length_cap=8, seed=0)
 
@@ -195,6 +200,72 @@ def test_kx_invariance_violation_path_raag():
     g, w = found
     assert g.kind == "TRANSVECTION" and g.target == "b"
     assert kx_invariance_violation(p, ("a", "c")) is None
+
+
+def kx_invariance_referee(p, X):
+    """The generator-applying form of kx_invariance_violation: apply every
+    Aut0 generator and its inverse to every killed generator, and return the
+    first (g, w) whose image leaves K_X.  Complete, since K_X is the normal
+    closure of the killed generators."""
+    gens = aut0_generators(p)
+    kept = set(X)
+    for v in p.vertex_ids:
+        if v in kept:
+            continue
+        w = generator(p, v)
+        for g in gens:
+            if retract(p, X, apply_gen(p, g, w)) or retract(
+                p, X, apply_gen(p, g, w, inverse=True)
+            ):
+                return g, w
+    return None
+
+
+def kx_answer(found):
+    return None if found is None else (found[0].literal(), found[1])
+
+
+def test_kx_invariance_closed_form_matches_referee():
+    # every X of 300 random presentations with orders whose transvection
+    # exponents q = |w| / |v| exceed 1 (2 -> 4 -> 8, 3 -> 9)
+    rng = random.Random(61)
+    pairs = violations = 0
+    for _ in range(300):
+        p = random_presentation(rng, max_vertices=6, order_pool=(2, 3, 4, 8, 9, None))
+        ids = p.vertex_ids
+        for X in itertools.chain.from_iterable(
+            itertools.combinations(ids, k) for k in range(len(ids) + 1)
+        ):
+            want = kx_answer(kx_invariance_referee(p, X))
+            assert kx_answer(kx_invariance_violation(p, X)) == want, (repr(p), X)
+            assert (lower_cone_violation(p, X) is None) == (want is None)
+            pairs += 1
+            violations += want is not None
+    assert pairs > 5000 and violations > 2000
+
+
+def test_unbounded_verify_applies_no_automorphism(monkeypatch, psl, f2, dinf):
+    path = pres({"a": None, "b": None, "c": None}, [("a", "b"), ("b", "c")])
+    verdicts = [(p, classify(p)) for p in (pres({"a": None}), psl, f2, path)]
+    assert [v.certificate.kind for _, v in verdicts] == [HOMOMORPHISM, SPLIT_QM, CITATION, CITATION]
+    tampered = replace(verdicts[3][1].certificate, chain=(("b",),))  # a <=_tau b
+
+    def no_automorphism(*args, **kwargs):
+        raise AssertionError("automorphism generators used")
+
+    for module in (classifier, automorphisms):
+        for name in ("apply_gen", "aut0_generators"):
+            monkeypatch.setattr(module, name, no_automorphism, raising=False)
+    for p, v in verdicts:
+        assert verify_certificate(p, v, EFFORT).passed
+    rep = verify_certificate(path, Verdict(False, tampered), EFFORT)
+    assert [(c.name, c.detail) for c in rep.checks if c.status == "FAIL"] == [(
+        "chain-lower-cone",
+        "step ('b',): a <=_tau b but a outside; violating generator "
+        "tv(a,b) or its inverse moves a out of K_X",
+    )]
+    with pytest.raises(AssertionError):  # the bounded uniform-bound check builds an orbit
+        verify_certificate(dinf, classify(dinf), EFFORT)
 
 
 def test_trace_is_informative(psl):

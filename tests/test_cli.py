@@ -223,6 +223,16 @@ def test_malformed_certificate_file_exits_1(corpus_dir, tmp_path, capsys):
             assert err.count("\n") == 1 and f"malformed certificate file {path}" in err
 
 
+@pytest.mark.parametrize("text", ['{"vertices": [1, 2]}', '{"vertices": {"id": "a"}}',
+                                  '{"vertices": [{"id": "a", "factors": 6}]}',
+                                  '{"vertices": [{"id": "a", "order": 2}], "edges": [1]}'])
+def test_malformed_presentation_exits_1(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "classify", str(path))
+    assert (code, out, err.count("\n")) == (1, "", 1) and err.startswith("gpnorm: error:")
+
+
 def test_gen_corpus_cli(tmp_path, capsys):
     out_dir = tmp_path / "corp"
     code, out, _ = run(
