@@ -28,7 +28,6 @@ from .classifier import (
     Certificate,
     Report,
     Verdict,
-    VerifyEffort,
     classify,
     verify_certificate,
 )
@@ -75,8 +74,7 @@ __all__ = [
     "JoinDecomposition", "TauStructure", "bounded_form_check",
     "join_decomposition", "lower_cone_violation",
     "preorder", "tau_structure",
-    "Certificate", "Report", "Verdict", "VerifyEffort", "classify",
-    "verify_certificate",
+    "Certificate", "Report", "Verdict", "classify", "verify_certificate",
     "gen_corpus", "named_presentation", "random_presentation", "random_word",
     "distortion_table", "norm_ball", "norm_lower", "norm_upper",
     "Presentation", "PresentationError", "VertexSpec", "expand_to_primary",

@@ -4,8 +4,8 @@ Thin dispatcher over the library: every subcommand reads a presentation
 JSON, runs one module operation, and prints JSON / CSV / DOT / word literals
 to stdout.  Exit codes: 0 success or verification PASS, 1 usage or input
 error, 2 verification FAIL, also of a certificate file given to norm or
-distortion.  A single --seed flag governs all sampling, so identical
-invocations produce identical bytes.
+distortion.  Only gen-corpus draws random numbers, from its --seed flag, so
+identical invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable
@@ -25,28 +24,6 @@ from .automorphisms import aut0_generators, orbit, parse_generator
 from .norms import distortion_table, norm_lower, norm_upper
 from .presentation import Presentation, PresentationError, expand_to_primary, parse_presentation
 from .words import NormalWord, normal_form, parse_word, word_literal
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation; one value per CLI flag."""
-
-    command: str
-    graph: str = ""
-    word: str = ""
-    orbit_depth: int = 3
-    len_cap: int = 12
-    radius: int = 4
-    n_max: int = 6
-    seed: int = 0
-    cert: str = ""
-    out: str = ""
-    svg: str = ""
-    fmt: str = "json"
-    gens: tuple[str, ...] = ()
-    seeds: tuple[str, ...] = ()
-    random_count: int = 0
-    max_vertices: int = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -98,18 +75,18 @@ def _emit(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _orbit_for(p: Presentation, word: Callable[[str], NormalWord], cfg: RunConfig):
+def _orbit_for(p: Presentation, word: Callable[[str], NormalWord], ns: argparse.Namespace):
     gens = (
-        [parse_generator(p, g) for g in cfg.gens]
-        if cfg.gens
+        [parse_generator(p, g) for g in ns.gen]
+        if ns.gen
         else aut0_generators(p)
     )
     seeds = (
-        [word(s) for s in cfg.seeds]
-        if cfg.seeds
+        [word(s) for s in ns.seed_word]
+        if ns.seed_word
         else [normal_form(p, [(v, 1)]) for v in p.vertex_ids]
     )
-    return orbit(p, seeds, gens, cfg.orbit_depth, cfg.len_cap)
+    return orbit(p, seeds, gens, ns.orbit_depth, ns.len_cap)
 
 
 def _load_verdict(p: Presentation, path: str) -> classifier.Verdict:
@@ -127,11 +104,11 @@ def _load_verdict(p: Presentation, path: str) -> classifier.Verdict:
     return classifier.Verdict(cert.kind == classifier.BOUNDED_DECOMPOSITION, cert)
 
 
-def _verified_cert(p: Presentation, cfg: RunConfig) -> classifier.Certificate | None:
-    """The certificate in cfg.cert if it passes verify_certificate; else
-    None, after a one-line stderr message naming the first failed check."""
-    verdict = _load_verdict(p, cfg.cert)
-    report = classifier.verify_certificate(p, verdict, classifier.VerifyEffort(seed=cfg.seed))
+def _verified_cert(p: Presentation, path: str) -> classifier.Certificate | None:
+    """The certificate in the file at path if it passes verify_certificate;
+    else None, after a one-line stderr message naming the first failed check."""
+    verdict = _load_verdict(p, path)
+    report = classifier.verify_certificate(p, verdict)
     failed = next((c for c in report.checks if c.status == "FAIL"), None)
     if failed is None:
         return verdict.certificate
@@ -139,32 +116,32 @@ def _verified_cert(p: Presentation, cfg: RunConfig) -> classifier.Certificate | 
     return None
 
 
-def cmd_classify(cfg: RunConfig) -> int:
-    p = _load(cfg.graph)
+def cmd_classify(ns: argparse.Namespace) -> int:
+    p = _load(ns.graph)
     verdict = classifier.classify(p)
     obj = classifier.verdict_to_obj(verdict)
-    if cfg.out:
-        Path(cfg.out).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    if ns.out:
+        Path(ns.out).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
     _emit(obj)
     return 0
 
 
-def cmd_nf(cfg: RunConfig) -> int:
-    _, word = _load_with_words(cfg.graph)
-    print(word_literal(word(cfg.word)))
+def cmd_nf(ns: argparse.Namespace) -> int:
+    _, word = _load_with_words(ns.graph)
+    print(word_literal(word(ns.word)))
     return 0
 
 
-def cmd_norm(cfg: RunConfig) -> int:
-    p, word = _load_with_words(cfg.graph)
-    x = word(cfg.word)
+def cmd_norm(ns: argparse.Namespace) -> int:
+    p, word = _load_with_words(ns.graph)
+    x = word(ns.word)
     cert = None
-    if cfg.cert:
-        cert = _verified_cert(p, cfg)
+    if ns.cert:
+        cert = _verified_cert(p, ns.cert)
         if cert is None:
             return 2
-    orb = _orbit_for(p, word, cfg)
-    upper = norm_upper(p, x, orb, cfg.radius)
+    orb = _orbit_for(p, word, ns)
+    upper = norm_upper(p, x, orb, ns.radius)
     lower = Fraction(0)
     if cert is not None:
         try:
@@ -177,9 +154,9 @@ def cmd_norm(cfg: RunConfig) -> int:
             "lower": str(lower),
             "upper": upper,
             "params": {
-                "orbit_depth": cfg.orbit_depth,
-                "len_cap": cfg.len_cap,
-                "radius": cfg.radius,
+                "orbit_depth": ns.orbit_depth,
+                "len_cap": ns.len_cap,
+                "radius": ns.radius,
                 "orbit_size": len(orb.elements),
                 "orbit_exhausted": orb.frontier_exhausted,
             },
@@ -221,14 +198,14 @@ def _write_svg(path: str, rows) -> None:
     Path(path).write_text("\n".join(parts) + "\n")
 
 
-def cmd_distortion(cfg: RunConfig) -> int:
-    p, word = _load_with_words(cfg.graph)
-    x = word(cfg.word)
+def cmd_distortion(ns: argparse.Namespace) -> int:
+    p, word = _load_with_words(ns.graph)
+    x = word(ns.word)
     cert = None
-    if cfg.cert:
-        cert_path = Path(cfg.cert)
+    if ns.cert:
+        cert_path = Path(ns.cert)
         if cert_path.exists():
-            cert = _verified_cert(p, cfg)
+            cert = _verified_cert(p, ns.cert)
             if cert is None:
                 return 2
         else:
@@ -238,19 +215,19 @@ def cmd_distortion(cfg: RunConfig) -> int:
                 json.dumps(classifier.certificate_to_obj(cert), indent=2, sort_keys=True)
                 + "\n"
             )
-    orb = _orbit_for(p, word, cfg)
-    rows = distortion_table(p, x, cert, cfg.n_max, orb, cfg.radius)
+    orb = _orbit_for(p, word, ns)
+    rows = distortion_table(p, x, cert, ns.nmax, orb, ns.radius)
     print("n,lower,upper")
     for n, lo, up in rows:
         print(f"{n},{lo!s},{'' if up is None else up}")
-    if cfg.svg:
-        _write_svg(cfg.svg, rows)
+    if ns.svg:
+        _write_svg(ns.svg, rows)
     return 0
 
 
-def cmd_classes(cfg: RunConfig) -> int:
-    p = _load(cfg.graph)
-    if cfg.fmt == "dot":
+def cmd_classes(ns: argparse.Namespace) -> int:
+    p = _load(ns.graph)
+    if ns.fmt == "dot":
         sys.stdout.write(cl.hasse_dot(p))
         sys.stdout.write(p.to_dot(complement=True))
         return 0
@@ -261,9 +238,9 @@ def cmd_classes(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_orbit(cfg: RunConfig) -> int:
-    p, word = _load_with_words(cfg.graph)
-    orb = _orbit_for(p, word, cfg)
+def cmd_orbit(ns: argparse.Namespace) -> int:
+    p, word = _load_with_words(ns.graph)
+    orb = _orbit_for(p, word, ns)
     for w in orb.sorted_elements():
         print(word_literal(w) or "e")
     print(
@@ -274,24 +251,23 @@ def cmd_orbit(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    p = _load(cfg.graph)
-    verdict = _load_verdict(p, cfg.cert)
-    effort = classifier.VerifyEffort(seed=cfg.seed)
-    report = classifier.verify_certificate(p, verdict, effort)
+def cmd_verify(ns: argparse.Namespace) -> int:
+    p = _load(ns.graph)
+    verdict = _load_verdict(p, ns.cert)
+    report = classifier.verify_certificate(p, verdict)
     _emit(report.to_obj())
     return 0 if report.passed else 2
 
 
-def cmd_gen_corpus(cfg: RunConfig) -> int:
-    out = Path(cfg.out or "corpus")
+def cmd_gen_corpus(ns: argparse.Namespace) -> int:
+    out = Path(ns.out or "corpus")
     paths = corpus.gen_corpus(out)
     import random
 
-    rng = random.Random(cfg.seed)
-    for i in range(cfg.random_count):
-        p = corpus.random_presentation(rng, max_vertices=cfg.max_vertices)
-        path = out / f"random_{cfg.seed}_{i:03d}.json"
+    rng = random.Random(ns.seed)
+    for i in range(ns.random_count):
+        p = corpus.random_presentation(rng, max_vertices=ns.max_vertices)
+        path = out / f"random_{ns.seed}_{i:03d}.json"
         path.write_text(json.dumps(p.to_json_obj(), indent=2, sort_keys=True) + "\n")
         paths.append(path)
     for path in paths:
@@ -311,7 +287,6 @@ def build_parser() -> _Parser:
             sp.add_argument("graph", help="presentation JSON file")
         if word:
             sp.add_argument("word", help="word literal, e.g. 'a b^-2'")
-        sp.add_argument("--seed", type=int, default=0, help="global sampling seed")
         return sp
 
     sp = add("classify", "decide boundedness, print verdict + certificate")
@@ -355,28 +330,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--random", type=int, default=0, dest="random_count",
                     help="number of extra random presentations")
     sp.add_argument("--max-vertices", type=int, default=4)
+    sp.add_argument("--seed", type=int, default=0, help="seed of the random presentations")
     return top
-
-
-def _config(ns: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=ns.command,
-        graph=getattr(ns, "graph", ""),
-        word=getattr(ns, "word", ""),
-        orbit_depth=getattr(ns, "orbit_depth", 3),
-        len_cap=getattr(ns, "len_cap", 12),
-        radius=getattr(ns, "radius", 4),
-        n_max=getattr(ns, "nmax", 6),
-        seed=getattr(ns, "seed", 0),
-        cert=getattr(ns, "cert", ""),
-        out=getattr(ns, "out", ""),
-        svg=getattr(ns, "svg", ""),
-        fmt=getattr(ns, "fmt", "json"),
-        gens=tuple(getattr(ns, "gen", [])),
-        seeds=tuple(getattr(ns, "seed_word", [])),
-        random_count=getattr(ns, "random_count", 0),
-        max_vertices=getattr(ns, "max_vertices", 4),
-    )
 
 
 COMMANDS = {
@@ -393,9 +348,8 @@ COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     ns = build_parser().parse_args(argv)
-    cfg = _config(ns)
     try:
-        return COMMANDS[cfg.command](cfg)
+        return COMMANDS[ns.command](ns)
     except (PresentationError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"gpnorm: error: {exc}", file=sys.stderr)
         return 1

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
+from .corpus import random_word
 from .presentation import Presentation, PresentationError
 from .words import (
     IDENTITY,
@@ -254,8 +255,8 @@ def defect_bound(
             a = rng.choice(pool)
             b = rng.choice(pool)
         else:
-            a = _random_word(p, rng)
-            b = _random_word(p, rng)
+            a = random_word(p, rng)
+            b = random_word(p, rng)
         d = abs(
             split_qm_eval(p, q, multiply(p, a, b))
             - split_qm_eval(p, q, a)
@@ -264,16 +265,6 @@ def defect_bound(
         if d > emp:
             emp = d
     return analytic, emp
-
-
-def _random_word(p: Presentation, rng: random.Random, max_sylls: int = 8, max_exp: int = 3) -> NormalWord:
-    ids = p.vertex_ids
-    sylls = []
-    for _ in range(rng.randint(0, max_sylls)):
-        v = rng.choice(ids)
-        e = rng.choice([k for k in range(-max_exp, max_exp + 1) if k != 0])
-        sylls.append((v, e))
-    return normal_form(p, sylls)
 
 
 # -- serialization ---------------------------------------------------------

@@ -1,6 +1,8 @@
 import itertools
 import json
+import math
 import random
+import time
 from dataclasses import replace
 
 import pytest
@@ -8,7 +10,6 @@ import pytest
 from gpnorm import (
     Certificate,
     Verdict,
-    VerifyEffort,
     bounded_form_check,
     classify,
     expand_to_primary,
@@ -20,7 +21,7 @@ from gpnorm import (
     verify_certificate,
     word_literal,
 )
-from gpnorm import automorphisms, classifier
+from gpnorm import automorphisms, classifier, norms
 from gpnorm.automorphisms import apply_gen, aut0_generators
 from gpnorm.classifier import (
     BOUNDED_DECOMPOSITION,
@@ -36,9 +37,7 @@ from gpnorm.classifier import (
     verdict_to_obj,
 )
 from gpnorm.presentation import PresentationError
-from gpnorm.words import generator, retract
-
-EFFORT = VerifyEffort(bounded_samples=2, orbit_depth=2, length_cap=8, seed=0)
+from gpnorm.words import generator, power, retract
 
 
 def pres(orders, edges=()):
@@ -106,7 +105,7 @@ def test_hyperbolic_citation_case():
     assert not v.bounded
     assert v.certificate.kind == CITATION
     assert v.certificate.citation == CITE_HYPERBOLIC
-    assert verify_certificate(p, v, EFFORT).passed
+    assert verify_certificate(p, v).passed
 
 
 def test_split_qm_mixed_torsion():
@@ -114,7 +113,7 @@ def test_split_qm_mixed_torsion():
     p = pres({"a": 2, "b": 2, "c": 3}, [("a", "b")])
     v = classify(p)
     assert v.certificate.kind == SPLIT_QM
-    assert verify_certificate(p, v, EFFORT).passed
+    assert verify_certificate(p, v).passed
 
 
 def test_composite_order_via_expansion():
@@ -136,7 +135,7 @@ def test_verify_random_roundtrip():
     for i in range(60):
         p = random_presentation(rng, max_vertices=6)
         v = classify(p)
-        rep = verify_certificate(p, v, EFFORT)
+        rep = verify_certificate(p, v)
         assert rep.passed, (repr(p), rep.to_obj())
 
 
@@ -168,7 +167,7 @@ def test_tampered_chain_fails_with_violating_generator():
             "chain": [["b"]],  # not a lower cone: a <=_tau b
         },
     )
-    rep = verify_certificate(p, Verdict(False, bad_cert), EFFORT)
+    rep = verify_certificate(p, Verdict(False, bad_cert))
     assert not rep.passed
     fail = next(c for c in rep.checks if c.status == "FAIL")
     assert fail.name == "chain-lower-cone"
@@ -180,7 +179,7 @@ def test_tampered_witness_fails(psl):
     obj = certificate_to_obj(v.certificate)
     obj["witness"] = ""  # identity: trivially in the kernel
     bad = certificate_from_obj(psl, obj)
-    rep = verify_certificate(psl, Verdict(False, bad), EFFORT)
+    rep = verify_certificate(psl, Verdict(False, bad))
     assert not rep.passed
 
 
@@ -189,8 +188,9 @@ def test_tampered_bounded_payload_fails(z2):
     obj = certificate_to_obj(v.certificate)
     obj["payload"]["n"] = 5
     bad = certificate_from_obj(z2, obj)
-    rep = verify_certificate(z2, Verdict(True, bad), EFFORT)
-    assert not rep.passed
+    rep = verify_certificate(z2, Verdict(True, bad))
+    assert _failed(rep) == {"decomposition-payload"}
+    assert all(c.name != "uniform-bound" for c in rep.checks)
 
 
 def test_kx_invariance_violation_path_raag():
@@ -244,28 +244,61 @@ def test_kx_invariance_closed_form_matches_referee():
     assert pairs > 5000 and violations > 2000
 
 
-def test_unbounded_verify_applies_no_automorphism(monkeypatch, psl, f2, dinf):
+def test_verify_samples_nothing_and_applies_no_automorphism(monkeypatch, psl, f2, dinf, z2):
     path = pres({"a": None, "b": None, "c": None}, [("a", "b"), ("b", "c")])
-    verdicts = [(p, classify(p)) for p in (pres({"a": None}), psl, f2, path)]
-    assert [v.certificate.kind for _, v in verdicts] == [HOMOMORPHISM, SPLIT_QM, CITATION, CITATION]
+    # Z^2 x C_2 x C_3 x C_4 x C_5 x C_7, a complete graph
+    z2_x_finite = pres(
+        dict(zip("abcdefg", (None, None, 2, 3, 4, 5, 7))), itertools.combinations("abcdefg", 2)
+    )
+    cases = (pres({"a": None}), psl, f2, path, dinf, z2, z2_x_finite)
+    verdicts = [(p, classify(p)) for p in cases]
+    assert [v.certificate.kind for _, v in verdicts] == [
+        HOMOMORPHISM, SPLIT_QM, CITATION, CITATION, *[BOUNDED_DECOMPOSITION] * 3
+    ]
     tampered = replace(verdicts[3][1].certificate, chain=(("b",),))  # a <=_tau b
 
-    def no_automorphism(*args, **kwargs):
-        raise AssertionError("automorphism generators used")
+    def forbidden(*args, **kwargs):
+        raise AssertionError("verify sampled or applied an automorphism")
 
-    for module in (classifier, automorphisms):
-        for name in ("apply_gen", "aut0_generators"):
-            monkeypatch.setattr(module, name, no_automorphism, raising=False)
+    monkeypatch.setattr(random, "Random", forbidden)
+    for module in (classifier, automorphisms, norms):
+        for name in ("apply_gen", "aut0_generators", "orbit", "norm_upper"):
+            monkeypatch.setattr(module, name, forbidden, raising=False)
+    start = time.monotonic()
     for p, v in verdicts:
-        assert verify_certificate(p, v, EFFORT).passed
-    rep = verify_certificate(path, Verdict(False, tampered), EFFORT)
+        rep = verify_certificate(p, v)
+        assert rep.passed
+        uniform = [c.status for c in rep.checks if c.name == "uniform-bound"]
+        assert uniform == (["NOTE"] if v.bounded else [])
+    assert time.monotonic() - start < 1
+    rep = verify_certificate(path, Verdict(False, tampered))
     assert [(c.name, c.detail) for c in rep.checks if c.status == "FAIL"] == [(
         "chain-lower-cone",
         "step ('b',): a <=_tau b but a outside; violating generator "
         "tv(a,b) or its inverse moves a out of K_X",
     )]
-    with pytest.raises(AssertionError):  # the bounded uniform-bound check builds an orbit
-        verify_certificate(dinf, classify(dinf), EFFORT)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
+def test_finite_vertex_elements_are_products_of_two_unit_powers(n):
+    # the finite-vertex lemma of the uniform bound, exactly: the Aut0 orbit
+    # of v in C_n is every unit power v^u, and each v^k is a product of two
+    p = pres({"v": n})
+    v = generator(p, "v")
+    orb = automorphisms.orbit(p, [v], aut0_generators(p), n, n)
+    assert orb.frontier_exhausted
+    assert orb.elements == {power(p, v, u) for u in range(n) if math.gcd(u, n) == 1}
+    for k in range(n):
+        got = norms.norm_upper(p, power(p, v, k), orb, 2)
+        assert got is not None and got <= 2, (n, k)
+
+
+def test_forged_bounded_certificate_on_f2_fails_shape(f2):
+    # the payload matches the recomputed decomposition (n = m = 0, F empty),
+    # whose one complement component {a, b} is no bounded factor
+    rep = verify_certificate(f2, Verdict(True, Certificate(BOUNDED_DECOMPOSITION)))
+    assert _failed(rep) == {"decomposition-shape"}
+    assert all(c.name != "uniform-bound" for c in rep.checks)
 
 
 def test_trace_is_informative(psl):
@@ -280,7 +313,7 @@ def _failed(rep):
 def _verify_edited_psl(psl, edit):
     obj = certificate_to_obj(classify(psl).certificate)
     edit(obj["payload"])
-    return verify_certificate(psl, Verdict(False, certificate_from_obj(psl, obj)), EFFORT)
+    return verify_certificate(psl, Verdict(False, certificate_from_obj(psl, obj)))
 
 
 @pytest.mark.parametrize("edit,check", [
@@ -305,21 +338,6 @@ def test_split_qm_across_a_transvection_fails(f2):
     # the split sums are not Aut-invariant and bound nothing
     qm = make_split_qm(f2, ["a"])
     cert = Certificate(SPLIT_QM, witness=parse_word(f2, "a b"), split_qm=qm)
-    rep = verify_certificate(f2, Verdict(False, cert), EFFORT)
+    rep = verify_certificate(f2, Verdict(False, cert))
     assert _failed(rep) == {"split-orbit-in-factors"}
     assert "tv(a,b)" in next(c.detail for c in rep.checks if c.status == "FAIL")
-
-
-def test_unbounded_verification_draws_no_random_numbers(monkeypatch, psl, f2, dinf):
-    z = pres({"a": None})
-    verdicts = [(p, classify(p)) for p in (z, psl, f2)]
-    assert [v.certificate.kind for _, v in verdicts] == [HOMOMORPHISM, SPLIT_QM, CITATION]
-
-    def no_random(*args, **kwargs):
-        raise AssertionError("random.Random called")
-
-    monkeypatch.setattr(classifier.random, "Random", no_random)
-    for p, v in verdicts:
-        assert verify_certificate(p, v, EFFORT).passed
-    with pytest.raises(AssertionError):  # the bounded uniform-bound check samples
-        verify_certificate(dinf, classify(dinf), EFFORT)

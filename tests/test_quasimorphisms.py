@@ -14,11 +14,11 @@ from gpnorm import (
     parse_presentation,
     parse_word,
     power,
+    random_word,
     split_qm_eval,
 )
 from gpnorm.presentation import PresentationError
 from gpnorm.quasimorphisms import (
-    _random_word,
     homogenize,
     odd_function_from_obj,
     odd_function_to_obj,
@@ -115,7 +115,7 @@ def test_homogenize_vanishes_on_factor_conjugates():
     q = make_split_qm(PSL, ["a"])
     rng = random.Random(1)
     for _ in range(100):
-        g = _random_word(PSL, rng)
+        g = random_word(PSL, rng)
         v = rng.choice(["a", "b"])
         a = generator(PSL, v, 1 if v == "a" else rng.choice([1, 2]))
         conj = multiply(PSL, multiply(PSL, g, a), invert(PSL, g))
@@ -132,7 +132,7 @@ def test_homogenize_estimate_vs_exact():
     q = make_split_qm(PSL, ["a"])
     rng = random.Random(2)
     for _ in range(20):
-        x = _random_word(PSL, rng)
+        x = random_word(PSL, rng)
         exact, _ = homogenize(PSL, q, x, "exact")
         for s in (4, 16, 64):
             est, err = homogenize(PSL, q, x, "estimate", s)
@@ -148,8 +148,8 @@ def test_homogenize_conjugation_invariant():
     q = make_split_qm(PSL, ["a"])
     rng = random.Random(3)
     for _ in range(50):
-        x = _random_word(PSL, rng)
-        g = _random_word(PSL, rng)
+        x = random_word(PSL, rng)
+        g = random_word(PSL, rng)
         conj = multiply(PSL, multiply(PSL, g, x), invert(PSL, g))
         assert homogenize(PSL, q, conj, "exact")[0] == homogenize(PSL, q, x, "exact")[0]
 
