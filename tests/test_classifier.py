@@ -244,7 +244,7 @@ def test_kx_invariance_closed_form_matches_referee():
     assert pairs > 5000 and violations > 2000
 
 
-def test_verify_samples_nothing_and_applies_no_automorphism(monkeypatch, psl, f2, dinf, z2):
+def _every_certificate_kind(psl, f2, dinf, z2):
     path = pres({"a": None, "b": None, "c": None}, [("a", "b"), ("b", "c")])
     # Z^2 x C_2 x C_3 x C_4 x C_5 x C_7, a complete graph
     z2_x_finite = pres(
@@ -255,15 +255,10 @@ def test_verify_samples_nothing_and_applies_no_automorphism(monkeypatch, psl, f2
     assert [v.certificate.kind for _, v in verdicts] == [
         HOMOMORPHISM, SPLIT_QM, CITATION, CITATION, *[BOUNDED_DECOMPOSITION] * 3
     ]
-    tampered = replace(verdicts[3][1].certificate, chain=(("b",),))  # a <=_tau b
+    return verdicts
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("verify sampled or applied an automorphism")
 
-    monkeypatch.setattr(random, "Random", forbidden)
-    for module in (classifier, automorphisms, norms):
-        for name in ("apply_gen", "aut0_generators", "orbit", "norm_upper"):
-            monkeypatch.setattr(module, name, forbidden, raising=False)
+def _verify_all_quickly(verdicts):
     start = time.monotonic()
     for p, v in verdicts:
         rep = verify_certificate(p, v)
@@ -271,6 +266,32 @@ def test_verify_samples_nothing_and_applies_no_automorphism(monkeypatch, psl, f2
         uniform = [c.status for c in rep.checks if c.name == "uniform-bound"]
         assert uniform == (["NOTE"] if v.bounded else [])
     assert time.monotonic() - start < 1
+
+
+def test_unbounded_verification_draws_no_random_numbers(monkeypatch, psl, f2, dinf, z2):
+    # every certificate kind, bounded included: verify samples nothing
+    verdicts = _every_certificate_kind(psl, f2, dinf, z2)
+
+    def no_random(*args, **kwargs):
+        raise AssertionError("random.Random called")
+
+    monkeypatch.setattr(random, "Random", no_random)
+    _verify_all_quickly(verdicts)
+
+
+def test_unbounded_verify_applies_no_automorphism(monkeypatch, psl, f2, dinf, z2):
+    # every certificate kind, bounded included: verify applies no automorphism
+    verdicts = _every_certificate_kind(psl, f2, dinf, z2)
+    path = verdicts[3][0]
+    tampered = replace(verdicts[3][1].certificate, chain=(("b",),))  # a <=_tau b
+
+    def no_automorphism(*args, **kwargs):
+        raise AssertionError("verify built an orbit or applied an automorphism")
+
+    for module in (classifier, automorphisms, norms):
+        for name in ("apply_gen", "aut0_generators", "orbit", "norm_upper"):
+            monkeypatch.setattr(module, name, no_automorphism, raising=False)
+    _verify_all_quickly(verdicts)
     rep = verify_certificate(path, Verdict(False, tampered))
     assert [(c.name, c.detail) for c in rep.checks if c.status == "FAIL"] == [(
         "chain-lower-cone",
