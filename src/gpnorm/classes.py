@@ -62,16 +62,20 @@ def preorder(p: Presentation, kind: str, v: str, w: str) -> bool:
     if kind == LEQ_S:
         return p.star(v) <= p.star(w)
     if kind == LEQ_TAU:
-        if v == w:
-            return True
-        if p.order(v) is None:
-            return preorder(p, LEQ, v, w)
-        if p.order(w) is None:
-            return False
-        if _prime_of(p, v) != _prime_of(p, w):
-            return False
-        return preorder(p, LEQ_S, v, w)
+        return _leq_tau(p, lambda u: _prime_of(p, u), v, w)
     raise ValueError(f"unknown preorder kind {kind!r}")
+
+
+def _leq_tau(p: Presentation, prime, v: str, w: str) -> bool:
+    """v <=_tau w for valid ids; prime(u) is the prime of a finite vertex u,
+    asked for only when both orders are finite."""
+    if v == w:
+        return True
+    if p.order(v) is None:
+        return p.link(v) <= p.star(w)
+    if p.order(w) is None:
+        return False
+    return prime(v) == prime(w) and p.star(v) <= p.star(w)
 
 
 @dataclass(frozen=True)
@@ -85,8 +89,6 @@ class ClassType:
 @dataclass(frozen=True)
 class TauStructure:
     vertices: tuple[str, ...]
-    leq: frozenset[tuple[str, str]]
-    leq_s: frozenset[tuple[str, str]]
     leq_tau: frozenset[tuple[str, str]]
     classes: tuple[tuple[str, ...], ...]
     class_types: tuple[ClassType, ...]
@@ -127,17 +129,13 @@ class TauStructure:
 
 
 def tau_structure(p: Presentation) -> TauStructure:
-    """Full preorder/class structure of a primary presentation."""
+    """The <=_tau preorder, its classes and their order, for a primary
+    presentation."""
     if not p.is_primary():
         raise PresentationError("tau structure requires a primary presentation")
     ids = p.vertex_ids
-    rel = {LEQ: set(), LEQ_S: set(), LEQ_TAU: set()}
-    for v in ids:
-        for w in ids:
-            for kind in rel:
-                if preorder(p, kind, v, w):
-                    rel[kind].add((v, w))
-    tau = rel[LEQ_TAU]
+    prime = {v: _prime_of(p, v) for v in ids}
+    tau = {(v, w) for v in ids for w in ids if _leq_tau(p, prime.get, v, w)}
     # classes: mutual <=_tau, ordered by least declaration index
     assigned: dict[str, int] = {}
     classes: list[tuple[str, ...]] = []
@@ -166,7 +164,7 @@ def tau_structure(p: Presentation) -> TauStructure:
             else:
                 types.append(ClassType(FREE, rank=len(cls)))
         else:
-            primes = {_prime_of(p, v) for v in cls}
+            primes = {prime[v] for v in cls}
             if None in primes or len(primes) != 1:
                 raise PresentationError(f"class {cls}: not a single-prime class")
             total = 1
@@ -180,8 +178,6 @@ def tau_structure(p: Presentation) -> TauStructure:
                 order.add((i, j))
     return TauStructure(
         vertices=ids,
-        leq=frozenset(rel[LEQ]),
-        leq_s=frozenset(rel[LEQ_S]),
         leq_tau=frozenset(tau),
         classes=tuple(classes),
         class_types=tuple(types),
@@ -265,14 +261,14 @@ def bounded_form_check(p: Presentation) -> bool:
 def classes_json_obj(p: Presentation) -> dict:
     """JSON-friendly dump of the tau structure for the `classes` CLI."""
     ts = tau_structure(p)
-    def mat(rel):
-        return {v: [w for w in ts.vertices if (v, w) in rel] for v in ts.vertices}
+    def mat(kind):
+        return {v: [w for w in ts.vertices if preorder(p, kind, v, w)] for v in ts.vertices}
     jd = join_decomposition(p)
     return {
         "vertices": list(ts.vertices),
-        "leq": mat(ts.leq),
-        "leq_s": mat(ts.leq_s),
-        "leq_tau": mat(ts.leq_tau),
+        "leq": mat(LEQ),
+        "leq_s": mat(LEQ_S),
+        "leq_tau": mat(LEQ_TAU),
         "classes": [
             {
                 "vertices": list(cls),

@@ -278,11 +278,12 @@ def cmd_gen_corpus(ns: argparse.Namespace) -> int:
 @functools.cache
 def build_parser() -> _Parser:
     """The argument parser, built on first use and shared by later calls."""
-    top = _Parser(prog="gpnorm", description=__doc__)
+    # no abbreviated flags: --seed must not read as --seed-word
+    top = _Parser(prog="gpnorm", description=__doc__, allow_abbrev=False)
     sub = top.add_subparsers(dest="command", required=True)
 
     def add(name, help_, graph=True, word=False):
-        sp = sub.add_parser(name, help=help_)
+        sp = sub.add_parser(name, help=help_, allow_abbrev=False)
         if graph:
             sp.add_argument("graph", help="presentation JSON file")
         if word:

@@ -10,37 +10,14 @@ the Anisimov-Knuth lexicographic normal form of the trace.  Two canonical
 words are equal as group elements iff they are identical, so NormalWord is
 hashable and usable as a set/dict key in orbit and ball enumeration.
 
-``normal_form`` works on vertex indices with the orders and adjacency
-bitmasks that ``Presentation`` precomputes, in up to three stages over an
-n-syllable input:
-
-* Reduction: one left-to-right pass keeping a reduced stack.  A new
-  syllable scans back only over entries whose vertex commutes with it and
-  merges with the first same-vertex entry it meets, dropping that entry if
-  the exponents cancel.  A cancelled entry commutes with everything above
-  it, so removing it leaves the stack reduced.  The scan stops at the first
-  entry that does not commute.  The pass costs O(n + total back-scan
-  length), and the scans can add up to Theta(n^2): in (x y)^k (z z^-1)^k
-  with z commuting with x and y, every z scans back over all 2k entries.
-  In a complete graph the stack never holds more than |V| entries.
-* Chain exit: if no two consecutive stack entries commute, every entry
-  depends on the one below it, so the dependency order is a chain whose
-  only linear extension is the stack itself, which is returned as it
-  stands.  The check costs O(n).  Free products (no edges) always exit
-  here.
-* Ordering: otherwise, the predecessors of a stack entry are the last
-  earlier entries of each vertex it does not commute with (its own vertex
-  included), found from the bitmasks in O(|V|) per entry.  The lex-least
-  linear extension is emitted greedily from the entries whose predecessors
-  are all emitted.  That set holds at most one entry per vertex, so it is a
-  bitmask of vertices whose lowest set bit is the least key; exponents
-  never decide.  The ordering costs O(n*|V|).
-
-``multiply`` does not renormalise x*y from scratch.  It starts from the
-syllables of x and their vertex indices, and adds the syllables of y one at
-a time (the Anisimov-Knuth construction of the lexicographic normal form,
-Diekert-Rozenberg, The Book of Traces, 1995).  A new syllable of vertex v
-scans back over the trailing entries that commute with v:
+``normal_form`` and ``multiply`` share one routine, the Anisimov-Knuth
+construction of the lexicographic normal form (Diekert-Rozenberg, The Book
+of Traces, 1995).  It works on vertex indices with the orders and adjacency
+bitmasks that ``Presentation`` precomputes, and holds a canonical word as
+parallel vertex-index and syllable lists.  ``normal_form`` starts it from the
+empty word, ``multiply`` from x.  It adds syllables one at a time; a new
+syllable v^e, its exponent reduced mod the order of v, scans back over the
+trailing entries that commute with v:
 
 * if the scan meets an entry of vertex v, the two merge (mod the order),
   and the entry is deleted if they cancel;
@@ -50,15 +27,24 @@ scans back over the trailing entries that commute with v:
 Each step leaves the word canonical.  A merge changes no vertex, so the
 dependency order and the lex-least extension, keyed by vertex index alone,
 stay the same.  A cancelled entry commutes with every entry after it, so it
-has no successors, and the greedy ordering emits the others as before.  An
-inserted entry depends exactly on the entries up to the scan's stop, so the
-greedy ordering emits it at the first later step whose own pick has a larger
-index: the insertion point.  Scans over a lex-ordered word can be long: for
-(p q)^n * (c d)^n, with c, d before p, q and commuting with them, every
-syllable of the right factor scans back over all of (p q)^n.  So
-``multiply`` counts its back- and forward-scan steps, and once they pass
-(|x|+|y|)*|V|, the bound of the ordering stage above, it returns
-``normal_form`` of the concatenation instead.
+has no successors, and removing it leaves the word reduced and lex-least.
+An inserted entry depends exactly on the entries up to the scan's stop, so
+the greedy lex-least ordering emits it at the first later step whose own
+pick has a larger index: the insertion point.
+
+The forward scan, the list insertion and the deletion touch only entries
+that the back-scan passed, so n syllables cost O(n + total back-scan
+length).  The back-scans can add up to Theta(n^2) in two families:
+
+* (x y)^k (z z^-1)^k, with z commuting with x and y: every z scans back
+  over all 2k entries of (x y)^k before it is inserted, and its z^-1 then
+  cancels it;
+* (p q)^k (c d)^k, with c and d declared before p and q and commuting with
+  them: every c and d scans back over all of (p q)^k, which the canonical
+  form puts after them.  The same holds for ``multiply`` of (p q)^k by
+  (c d)^k, and for each squaring in ``power`` of c d p q.
+
+In a complete graph the word never holds more than |V| entries.
 
 Finite-order exponents are stored in {1, ..., n-1}; infinite-order exponents
 are arbitrary nonzero integers.
@@ -101,16 +87,33 @@ IDENTITY = NormalWord()
 
 def normal_form(p: Presentation, word) -> NormalWord:
     """Canonical form of a raw syllable sequence (or NormalWord)."""
+    return _insert(p, (), word.syllables if isinstance(word, NormalWord) else word)
+
+
+def multiply(p: Presentation, x: NormalWord, y: NormalWord) -> NormalWord:
+    """Canonical form of x*y for canonical x and y: the syllables of y are
+    added to those of x one at a time, each step keeping the word canonical."""
+    if not x.syllables:
+        return y
+    if not y.syllables:
+        return x
+    return _insert(p, x.syllables, y.syllables)
+
+
+def _insert(p: Presentation, xs: tuple[Syllable, ...], word) -> NormalWord:
+    """Add the syllables of ``word`` one at a time to the canonical ``xs``.
+    Input Syllables are kept as they are unless their exponent changes."""
     index, orders, adj = p._index, p._orders, p._adj_mask
-    # reduction: the reduced stack as parallel vertex-index / syllable lists;
-    # input Syllables are kept as they are unless their exponent changes
-    vs: list[int] = []
-    ss: list[Syllable] = []
-    for syl in word.syllables if isinstance(word, NormalWord) else word:
+    try:
+        vs = [index[v] for v, _ in xs]
+    except KeyError as exc:
+        p.index(exc.args[0])  # raises on the unknown vertex
+    ss = list(xs)
+    for syl in word:
         name, e = syl
         v = index.get(name)
         if v is None:
-            p.index(name)  # raises on unknown vertex
+            p.index(name)  # raises on the unknown vertex
         n = orders[v]
         if n is not None:
             e %= n
@@ -129,95 +132,12 @@ def normal_form(p: Presentation, word) -> NormalWord:
             else:
                 del vs[j], ss[j]
         else:
-            vs.append(v)
-            ss.append(syl if type(syl) is Syllable and syl.exponent == e
-                      else Syllable(name, e))
-    # chain exit: if no two consecutive entries commute, each entry depends
-    # on the one below it, so the stack order is the only linear extension
-    prev = vs[0] if vs else 0
-    for v in vs:
-        if adj[v] >> prev & 1:
-            break
-        prev = v
-    else:
-        return NormalWord(tuple(ss))
-    # ordering: predecessor counts and successor lists of the stack entries;
-    # ready has bit v set when pending[v] is an entry of vertex v whose
-    # predecessors have all been emitted
-    succ: list[list[int]] = [[] for _ in vs]
-    indeg = [0] * len(vs)
-    last = [0] * len(orders)  # latest entry of each vertex seen so far
-    pending = [0] * len(orders)
-    seen = ready = 0
-    for k, v in enumerate(vs):
-        deps = seen & ~adj[v]
-        if not deps:
-            pending[v] = k
-            ready |= 1 << v
-        indeg[k] = deps.bit_count()
-        while deps:
-            low = deps & -deps
-            succ[last[low.bit_length() - 1]].append(k)
-            deps ^= low
-        last[v] = k
-        seen |= 1 << v
-    out: list[Syllable] = []
-    while ready:
-        low = ready & -ready
-        ready ^= low
-        k = pending[low.bit_length() - 1]
-        out.append(ss[k])
-        for s in succ[k]:
-            indeg[s] -= 1
-            if not indeg[s]:
-                w = vs[s]
-                pending[w] = s
-                ready |= 1 << w
-    return NormalWord(tuple(out))
-
-
-def multiply(p: Presentation, x: NormalWord, y: NormalWord) -> NormalWord:
-    """Canonical form of x*y for canonical x and y: the syllables of y are
-    added to those of x one at a time, each step keeping the word canonical;
-    after (|x|+|y|)*|V| scan steps it hands over to ``normal_form``."""
-    xs, ys = x.syllables, y.syllables
-    if not xs:
-        return y
-    if not ys:
-        return x
-    index, orders, adj = p._index, p._orders, p._adj_mask
-    try:
-        vs = [index[v] for v, _ in xs]
-        ws = [index[v] for v, _ in ys]
-    except KeyError:
-        return normal_form(p, xs + ys)  # raises on the unknown vertex
-    ss = list(xs)
-    budget = (len(xs) + len(ys)) * len(orders)
-    for syl, v in zip(ys, ws):
-        m = adj[v]
-        j = top = len(vs) - 1
-        while j >= 0 and vs[j] != v and m >> vs[j] & 1:
-            j -= 1
-        budget -= top - j
-        if j >= 0 and vs[j] == v:
-            name, e = syl
-            e += ss[j].exponent
-            n = orders[v]
-            if n is not None:
-                e %= n
-            if e:
-                ss[j] = Syllable(name, e)
-            else:
-                del vs[j], ss[j]
-        else:
             k = j + 1
             while k < len(vs) and vs[k] < v:
                 k += 1
-            budget -= k - j - 1
             vs.insert(k, v)
-            ss.insert(k, syl)
-        if budget < 0:
-            return normal_form(p, xs + ys)
+            ss.insert(k, syl if type(syl) is Syllable and syl.exponent == e
+                      else Syllable(name, e))
     return NormalWord(tuple(ss))
 
 

@@ -39,6 +39,19 @@ def test_usage_error_exit_1(corpus_dir, capsys):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["norm", "psl.json", "a b", "--seed", "1"],  # not --seed-word
+    ["orbit", "psl.json", "--seed", "a", "--orbit-depth", "0"],
+])
+def test_abbreviated_flags_are_usage_errors(corpus_dir, capsys, argv):
+    argv[1] = str(corpus_dir / argv[1])
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --seed" in err and err.startswith("usage:")
+
+
 def test_classify_json(corpus_dir, capsys):
     code, out, _ = run(capsys, "classify", str(corpus_dir / "dinf.json"))
     assert code == 0

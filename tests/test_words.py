@@ -23,7 +23,6 @@ from gpnorm import (
     split_free_product,
     word_literal,
 )
-from gpnorm import words
 from gpnorm.presentation import PresentationError
 
 PATH = parse_presentation(
@@ -104,11 +103,66 @@ def brute_reduce(p, sylls):
             return word
 
 
+def stack_normal_form(p, sylls):
+    """Referee for normal_form and multiply, by a second algorithm: reduce in
+    one pass over a stack, then emit the lex-least linear extension of the
+    dependency order greedily.
+
+    Reduction: a new syllable scans back over the stack entries whose vertex
+    commutes with it and merges with the first same-vertex entry it meets,
+    dropping that entry if the exponents cancel; otherwise it is pushed.
+    Ordering: the predecessors of an entry are the last earlier entries of
+    each vertex it does not commute with (its own included); the entries
+    whose predecessors are all emitted hold at most one entry per vertex, so
+    the least vertex index among them picks the next one."""
+    vs, ss = [], []
+    for v, e in sylls:
+        i, e = p.index(v), stored_exponent(p, v, e)
+        if not e:
+            continue
+        j = len(vs) - 1
+        while j >= 0 and vs[j] != i and p.has_edge(v, ss[j].vertex):
+            j -= 1
+        if j >= 0 and vs[j] == i:
+            e = stored_exponent(p, v, e + ss[j].exponent)
+            if e:
+                ss[j] = Syllable(v, e)
+            else:
+                del vs[j], ss[j]
+        else:
+            vs.append(i)
+            ss.append(Syllable(v, e))
+    indeg = [0] * len(vs)
+    succ = [[] for _ in vs]
+    last = {}  # latest entry of each vertex seen so far
+    for k, (v, _) in enumerate(ss):
+        for u, j in last.items():
+            if u == v or not p.has_edge(u, v):
+                succ[j].append(k)
+                indeg[k] += 1
+        last[v] = k
+    ready = {vs[k]: k for k in range(len(vs)) if not indeg[k]}
+    out = []
+    while ready:
+        k = ready.pop(min(ready))
+        out.append(ss[k])
+        for s in succ[k]:
+            indeg[s] -= 1
+            if not indeg[s]:
+                ready[vs[s]] = s
+    return tuple(out)
+
+
 def check_against_oracle(p, sylls):
     want = brute_canonical(p, brute_reduce(p, sylls))
+    assert stack_normal_form(p, sylls) == want
     got = normal_form(p, sylls).syllables
     assert got == want
     assert is_reduced(p, got)
+    # multiply gives the same word at every split of the input
+    for k in range(len(sylls) + 1):
+        left, right = normal_form(p, sylls[:k]), normal_form(p, sylls[k:])
+        assert multiply(p, left, right).syllables == want
     # every member of the shuffle class normalizes identically
     for member in shuffle_class(p, tuple(sylls)):
         assert normal_form(p, list(member)).syllables == got
@@ -172,8 +226,9 @@ def test_long_word_canonicity(density):
     p = random_presentation(rng, 16, density, orders=(2, 3, 4, 5, "inf", "inf"))
     ids = p.vertex_ids
     for _ in range(3):
-        x = normal_form(p, [(rng.choice(ids), rng.choice([-2, -1, 1, 2]))
-                            for _ in range(1024)])
+        raw = [(rng.choice(ids), rng.choice([-2, -1, 1, 2])) for _ in range(1024)]
+        x = normal_form(p, raw)
+        assert x.syllables == stack_normal_form(p, raw)
         assert normal_form(p, x) == x
         assert multiply(p, x, invert(p, x)) == IDENTITY
         shuffled = list(x.syllables)
@@ -229,8 +284,8 @@ def test_multiply_invert_power():
 
 @pytest.mark.parametrize("seed", range(20))
 def test_multiply_matches_normal_form(seed):
-    # differential against renormalising the concatenation; half of the
-    # right factors are near-inverses of the left, so cancellation runs deep
+    # differential against the stack referee; half of the right factors are
+    # near-inverses of the left, so cancellation runs deep
     rng = random.Random(f"multiply-{seed}")
     for _ in range(30):
         p = random_presentation(rng, rng.randint(1, 16), rng.random(),
@@ -240,15 +295,17 @@ def test_multiply_matches_normal_form(seed):
         def raw(n):
             return [(rng.choice(ids), rng.choice([-3, -2, -1, 1, 2, 3])) for _ in range(n)]
 
-        x = normal_form(p, raw(rng.randint(0, 400)))
+        xr = raw(rng.randint(0, 400))
         if rng.random() < 0.5:
-            y = normal_form(p, raw(rng.randint(0, 400)))
+            yr = raw(rng.randint(0, 400))
         else:
-            inv = list(invert(p, x).syllables)
+            yr = list(invert(p, normal_form(p, xr)).syllables)
             for _ in range(rng.randint(0, 3)):
-                inv.insert(rng.randint(0, len(inv)), raw(1)[0])
-            y = normal_form(p, inv)
-        assert multiply(p, x, y) == normal_form(p, x.syllables + y.syllables)
+                yr.insert(rng.randint(0, len(yr)), raw(1)[0])
+        x, y = normal_form(p, xr), normal_form(p, yr)
+        assert x.syllables == stack_normal_form(p, xr)
+        assert y.syllables == stack_normal_form(p, yr)
+        assert multiply(p, x, y).syllables == stack_normal_form(p, xr + yr)
 
 
 @pytest.mark.parametrize("p, x, y, want", [
@@ -265,29 +322,37 @@ def test_multiply_matches_normal_form(seed):
 def test_multiply_named_cases(p, x, y, want):
     x, y = parse_word(p, x), parse_word(p, y)
     got = multiply(p, x, y)
-    assert got == normal_form(p, x.syllables + y.syllables)
+    assert got.syllables == stack_normal_form(p, x.syllables + y.syllables)
     assert word_literal(got) == want
 
 
-def test_multiply_hands_long_scans_to_normal_form(monkeypatch):
-    # c and d come first and commute with p and q: inserted one at a time,
-    # each syllable of (c d)^n would scan back over all of (p q)^n
-    p = parse_presentation({
-        "vertices": [{"id": v, "order": "inf"} for v in "cdpq"],
-        "edges": [["c", "p"], ["c", "q"], ["d", "p"], ["d", "q"]],
-    })
-    n = 200
-    x, y = parse_word(p, "p q " * n), parse_word(p, "c d " * n)
+LONG_SCAN = parse_presentation({
+    # c and d come before p and q and commute with them; z comes before x
+    # and y and commutes with them
+    "vertices": [{"id": v, "order": "inf"} for v in "cdpqzxy"],
+    "edges": [["c", "p"], ["c", "q"], ["d", "p"], ["d", "q"],
+              ["z", "x"], ["z", "y"]],
+})
+
+
+def test_long_back_scans():
+    # 4,096 syllables each; every syllable of (c d)^n and of (z z^-1)^k scans
+    # back over the whole of (p q)^n or (x y)^k
+    p, n = LONG_SCAN, 1024
     want = parse_word(p, "c d " * n + "p q " * n)
-    calls = []
+    assert multiply(p, parse_word(p, "p q " * n), parse_word(p, "c d " * n)) == want
+    assert normal_form(p, [("p", 1), ("q", 1)] * n + [("c", 1), ("d", 1)] * n) == want
+    k = 1024
+    assert normal_form(p, [("x", 1), ("y", 1)] * k + [("z", 1), ("z", -1)] * k) == (
+        parse_word(p, "x y " * k))
 
-    def counting(p, word):
-        calls.append(len(word))
-        return normal_form(p, word)
 
-    monkeypatch.setattr(words, "normal_form", counting)
-    assert words.multiply(p, x, y) == want
-    assert calls == [4 * n]
+def test_multiply_rejects_unknown_vertex():
+    x = NormalWord((Syllable("a", 1), Syllable("zzz", 1)))
+    with pytest.raises(PresentationError):
+        multiply(PSL, x, generator(PSL, "b"))
+    with pytest.raises(PresentationError):
+        multiply(PSL, generator(PSL, "b"), x)
 
 
 def test_commutator_trivial_when_commuting(z2):
