@@ -9,6 +9,9 @@ empirically by ``defect_bound``.  The homogenization has defect at most
 twice that, vanishes on conjugates of factor elements, and therefore turns a
 nonzero value on a witness into a norm lower bound.
 
+``split_qm_eval`` costs one pass over the canonical word, which splits it
+into blocks and counts identical ones, plus one evaluation per distinct block.
+
 All values are exact rationals so certificates embed and verify without
 rounding.
 """
@@ -16,8 +19,10 @@ rounding.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .corpus import random_word
@@ -25,6 +30,7 @@ from .presentation import Presentation, PresentationError
 from .words import (
     IDENTITY,
     NormalWord,
+    _free_runs,
     multiply,
     normal_form,
     parse_word,
@@ -54,12 +60,16 @@ class OddFunction:
     def is_zero(self) -> bool:
         return not self.table and self.power_base is None
 
+    @cached_property
+    def _values(self) -> dict[NormalWord, Fraction]:
+        return dict(reversed(self.table))  # a repeated entry: the first wins
+
     def evaluate(self, p: Presentation, x: NormalWord) -> Fraction:
         if not x:
             return Fraction(0)
-        for w, val in self.table:
-            if w == x:
-                return val
+        val = self._values.get(x)
+        if val is not None:
+            return val
         base = self.power_base
         if base is not None:
             k = _power_of(p, base, x)
@@ -183,21 +193,16 @@ def make_split_qm(p: Presentation, M: Iterable[str]) -> SplitQM:
     return SplitQM(left=left, sigma_left=s1, sigma_right=s2, defect=defect)
 
 
-def _block_values(p: Presentation, q: SplitQM, x: NormalWord):
-    form = split_free_product(p, q.left, x)
-    out = []
-    for side, block in form.factors:
-        sigma = q.sigma_left if side == "L" else q.sigma_right
-        out.append((side, block, sigma))
-    return out
+def _sigma_sum(p: Presentation, q: SplitQM, runs) -> Fraction:
+    """Sum of sigma over the (side, syllables) blocks ``runs``."""
+    sigma = {"L": q.sigma_left, "R": q.sigma_right}
+    return sum((n * sigma[side].evaluate(p, NormalWord(syls))
+                for (side, syls), n in Counter(runs).items()), Fraction(0))
 
 
 def split_qm_eval(p: Presentation, q: SplitQM, x: NormalWord) -> Fraction:
     """Sum of the odd functions over the alternating blocks of x."""
-    return sum(
-        (sigma.evaluate(p, block) for _, block, sigma in _block_values(p, q, x)),
-        Fraction(0),
-    )
+    return _sigma_sum(p, q, _free_runs(p, q.left, x))
 
 
 def homogenize(
@@ -219,22 +224,19 @@ def homogenize(
         return split_qm_eval(p, q, xs) / s, q.defect / Fraction(s)
     if mode != "exact":
         raise ValueError(f"unknown homogenization mode {mode!r}")
-    blocks = _block_values(p, q, x)
-    while len(blocks) >= 2 and blocks[0][0] == blocks[-1][0]:
-        merged = multiply(p, blocks[-1][1], blocks[0][1])
-        if merged:
+    runs = _free_runs(p, q.left, x)
+    i, j = 0, len(runs) - 1  # the core is runs[i:j + 1]
+    while i < j and runs[i][0] == runs[j][0]:
+        junction = multiply(p, NormalWord(runs[j][1]), NormalWord(runs[i][1]))
+        if junction:
             break
-        blocks = blocks[1:-1]
-    if len(blocks) <= 1:
+        i, j = i + 1, j - 1
+    if j <= i:
         return Fraction(0), Fraction(0)
-    total = sum((sig.evaluate(p, b) for _, b, sig in blocks), Fraction(0))
-    if len(blocks) % 2 == 0:
-        return total, Fraction(0)
-    _, first_b, sig = blocks[0]
-    _, last_b, _ = blocks[-1]
-    junction = multiply(p, last_b, first_b)
-    value = total - sig.evaluate(p, first_b) - sig.evaluate(p, last_b) + sig.evaluate(p, junction)
-    return value, Fraction(0)
+    if (j - i) % 2:  # an even number of blocks
+        return _sigma_sum(p, q, runs[i:j + 1]), Fraction(0)
+    # odd count: the end blocks share a side and the loop left their junction
+    return _sigma_sum(p, q, runs[i + 1:j] + [(runs[i][0], junction.syllables)]), Fraction(0)
 
 
 def defect_bound(

@@ -46,6 +46,12 @@ length).  The back-scans can add up to Theta(n^2) in two families:
 
 In a complete graph the word never holds more than |V| entries.
 
+The routine keeps each input ``Syllable`` whose exponent it does not change;
+within one call it makes at most one new object per (vertex, exponent).
+``split_free_product`` takes the one-side runs of a canonical word as its
+blocks as they stand: no syllable commutes across a free-product split, so
+each run is already reduced and lex-least.
+
 Finite-order exponents are stored in {1, ..., n-1}; infinite-order exponents
 are arbitrary nonzero integers.
 """
@@ -53,6 +59,7 @@ are arbitrary nonzero integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, NamedTuple
 
 from .presentation import Presentation, PresentationError
@@ -93,10 +100,10 @@ def normal_form(p: Presentation, word) -> NormalWord:
 def multiply(p: Presentation, x: NormalWord, y: NormalWord) -> NormalWord:
     """Canonical form of x*y for canonical x and y: the syllables of y are
     added to those of x one at a time, each step keeping the word canonical."""
-    if not x.syllables:
-        return y
-    if not y.syllables:
-        return x
+    if not x.syllables or not y.syllables:
+        for v, _ in x.syllables or y.syllables:
+            p.index(v)  # raises on a vertex not in p
+        return x or y
     return _insert(p, x.syllables, y.syllables)
 
 
@@ -109,6 +116,7 @@ def _insert(p: Presentation, xs: tuple[Syllable, ...], word) -> NormalWord:
     except KeyError as exc:
         p.index(exc.args[0])  # raises on the unknown vertex
     ss = list(xs)
+    made = {}  # (vertex, exponent) -> the one new Syllable of that value
     for syl in word:
         name, e = syl
         v = index.get(name)
@@ -128,7 +136,7 @@ def _insert(p: Presentation, xs: tuple[Syllable, ...], word) -> NormalWord:
             if n is not None:
                 e %= n
             if e:
-                ss[j] = Syllable(name, e)
+                ss[j] = made.get((name, e)) or made.setdefault((name, e), Syllable(name, e))
             else:
                 del vs[j], ss[j]
         else:
@@ -137,12 +145,12 @@ def _insert(p: Presentation, xs: tuple[Syllable, ...], word) -> NormalWord:
                 k += 1
             vs.insert(k, v)
             ss.insert(k, syl if type(syl) is Syllable and syl.exponent == e
-                      else Syllable(name, e))
+                      else made.get((name, e)) or made.setdefault((name, e), Syllable(name, e)))
     return NormalWord(tuple(ss))
 
 
 def invert(p: Presentation, x: NormalWord) -> NormalWord:
-    return normal_form(p, [Syllable(v, -e) for v, e in reversed(x.syllables)])
+    return normal_form(p, [(v, -e) for v, e in reversed(x.syllables)])
 
 
 def power(p: Presentation, x: NormalWord, n: int) -> NormalWord:
@@ -193,7 +201,16 @@ def split_free_product(p: Presentation, M: Iterable[str], x: NormalWord) -> Alte
 
     Requires that no edge joins M and V-M.  Concatenating the blocks in
     order recovers x; each block is a nontrivial element of its side.
+
+    No syllable commutes across the split, so every shuffle of the canonical
+    x keeps each maximal one-side run in place.  Each run is therefore
+    reduced and lex-least, and is its block as it stands.
     """
+    return AlternatingForm(tuple((side, NormalWord(run)) for side, run in _free_runs(p, M, x)))
+
+
+def _free_runs(p: Presentation, M: Iterable[str], x: NormalWord) -> list[tuple[str, tuple]]:
+    """The blocks of ``split_free_product`` as (side, syllable tuple) pairs."""
     left = set(M)
     for v in left:
         p.index(v)
@@ -202,19 +219,13 @@ def split_free_product(p: Presentation, M: Iterable[str], x: NormalWord) -> Alte
             raise PresentationError(
                 f"not a free-product split: edge {a}-{b} joins the two sides"
             )
-    blocks: list[tuple[str, NormalWord]] = []
-    run: list[Syllable] = []
-    run_side = ""
-    for syl in x.syllables:
-        side = "L" if syl.vertex in left else "R"
-        if side != run_side and run:
-            blocks.append((run_side, normal_form(p, run)))
-            run = []
-        run_side = side
-        run.append(syl)
-    if run:
-        blocks.append((run_side, normal_form(p, run)))
-    return AlternatingForm(tuple(blocks))
+    side_of = {v: "L" if v in left else "R" for v in p._index}
+    try:
+        runs = groupby(x.syllables, lambda s: side_of[s[0]])
+        return [(side, tuple(run)) for side, run in runs]
+    except KeyError as exc:
+        p.index(exc.args[0])
+        raise
 
 
 # -- word literals --------------------------------------------------------

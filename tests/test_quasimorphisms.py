@@ -5,20 +5,29 @@ import pytest
 
 from gpnorm import (
     IDENTITY,
+    NormalWord,
+    Syllable,
+    Verdict,
+    classify,
     default_odd_function,
     defect_bound,
     generator,
     invert,
     make_split_qm,
     multiply,
+    normal_form,
     parse_presentation,
     parse_word,
     power,
     random_word,
+    split_free_product,
     split_qm_eval,
+    verify_certificate,
 )
+from gpnorm.classifier import certificate_from_obj, certificate_to_obj
 from gpnorm.presentation import PresentationError
 from gpnorm.quasimorphisms import (
+    OddFunction,
     homogenize,
     odd_function_from_obj,
     odd_function_to_obj,
@@ -172,3 +181,161 @@ def test_serialization_roundtrip():
     p = pres({"a": None, "b": 2})
     f = default_odd_function(p, ["a"])
     assert odd_function_from_obj(p, odd_function_to_obj(f)) == f
+
+
+# -- referee: blocks renormalised one by one, summed block by block --------
+
+
+def referee_split(p, M, x):
+    """Maximal one-side runs of x, each put through normal_form."""
+    left = set(M)
+    blocks, run, run_side = [], [], ""
+    for syl in x.syllables:
+        side = "L" if syl.vertex in left else "R"
+        if side != run_side and run:
+            blocks.append((run_side, normal_form(p, run)))
+            run = []
+        run_side = side
+        run.append(syl)
+    if run:
+        blocks.append((run_side, normal_form(p, run)))
+    return blocks
+
+
+def referee_sigma(p, sigma, x):
+    """sigma(x) with the table scanned in order: the first matching entry wins."""
+    if not x:
+        return Fraction(0)
+    for w, val in sigma.table:
+        if w == x:
+            return val
+    return OddFunction(sigma.side, power_base=sigma.power_base).evaluate(p, x)
+
+
+def _side_sigma(q, side):
+    return q.sigma_left if side == "L" else q.sigma_right
+
+
+def referee_eval(p, q, x):
+    total = Fraction(0)
+    for side, block in referee_split(p, q.left, x):
+        total += referee_sigma(p, _side_sigma(q, side), block)
+    return total
+
+
+def referee_homogenize(p, q, x, mode, s=0):
+    if mode == "estimate":
+        return referee_eval(p, q, power(p, x, s)) / s, q.defect / Fraction(s)
+    blocks = referee_split(p, q.left, x)
+    while len(blocks) >= 2 and blocks[0][0] == blocks[-1][0]:
+        if multiply(p, blocks[-1][1], blocks[0][1]):
+            break
+        blocks = blocks[1:-1]
+    if len(blocks) <= 1:
+        return Fraction(0), Fraction(0)
+    total = sum((referee_sigma(p, _side_sigma(q, side), b) for side, b in blocks), Fraction(0))
+    if len(blocks) % 2 == 0:
+        return total, Fraction(0)
+    (side, first), (_, last) = blocks[0], blocks[-1]
+    sig = _side_sigma(q, side)
+    value = (total - referee_sigma(p, sig, first) - referee_sigma(p, sig, last)
+             + referee_sigma(p, sig, multiply(p, last, first)))
+    return value, Fraction(0)
+
+
+CRITERION_6_CASES = [
+    (pres({"a": 2, "b": 3}), ["a"]),
+    (pres({"a": None, "b": None}), ["a"]),
+    (pres({"a": 2, "b": 2, "c": 3}, [("a", "b")]), ["a", "b"]),
+]
+
+
+def random_split(rng):
+    """A random graph product with a free split (M | V - M) that carries a
+    nonzero split quasimorphism."""
+    while True:
+        ids = [f"v{i}" for i in range(rng.randint(2, 6))]
+        orders = {v: rng.choice((2, 2, 3, 4, 5, None)) for v in ids}
+        M = rng.sample(ids, rng.randint(1, len(ids) - 1))
+        density = rng.random()
+        edges = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]
+                 if (a in M) == (b in M) and rng.random() < density]
+        p = pres(orders, edges)
+        try:
+            return p, M, make_split_qm(p, M)
+        except PresentationError:  # both sides C_2^k
+            continue
+
+
+def differential_words(p, M, rng):
+    """Words of up to 1,024 syllables: random raw words, a long alternating
+    word, powers x^s of short alternating words, and conjugates g x g^-1
+    whose end blocks cancel."""
+    ids = p.vertex_ids
+    sides = (sorted(M), [v for v in ids if v not in M])
+
+    def alternating(n):
+        return normal_form(p, [(rng.choice(sides[k % 2]), rng.choice((-1, 1, 2)))
+                               for k in range(rng.randrange(2), n + rng.randrange(2))])
+
+    words = [normal_form(p, [(rng.choice(ids), rng.choice((-3, -2, -1, 1, 2, 3)))
+                             for _ in range(n)]) for n in (1, 8, 64, 256, 1024)]
+    words.append(alternating(1022))
+    for s in (16, 128):
+        words.append(power(p, alternating(6), s))
+    g = alternating(300)
+    for n in (1, 3, 6):
+        words.append(multiply(p, multiply(p, g, alternating(n)), invert(p, g)))
+    return words
+
+
+@pytest.mark.parametrize("case", [f"random-{k}" for k in range(10)]
+                         + [f"criterion-6-{k}" for k in range(3)])
+def test_split_evaluation_matches_referee(case):
+    rng = random.Random(f"split-referee-{case}")
+    if case.startswith("random"):
+        p, M, q = random_split(rng)
+    else:
+        p, M = CRITERION_6_CASES[int(case[-1])]
+        q = make_split_qm(p, M)
+    for x in differential_words(p, M, rng):
+        assert len(x) <= 1024
+        assert list(split_free_product(p, M, x).factors) == referee_split(p, M, x)
+        assert split_qm_eval(p, q, x) == referee_eval(p, q, x)
+        assert homogenize(p, q, x, "exact") == referee_homogenize(p, q, x, "exact")
+        s = rng.choice((2, 3, 8))
+        assert homogenize(p, q, x, "estimate", s) == referee_homogenize(p, q, x, "estimate", s)
+
+
+def test_split_evaluation_rejects_unknown_vertex_and_crossing_edge():
+    q = make_split_qm(PSL, ["a"])
+    x = NormalWord((Syllable("a", 1), Syllable("zzz", 1), Syllable("a", 1), Syllable("zzz", 1)))
+    crossed = pres({"a": 2, "b": 3}, [("a", "b")])
+    ab = parse_word(crossed, "a b")
+    calls = [
+        lambda p, w: split_free_product(p, ["a"], w),
+        lambda p, w: split_qm_eval(p, q, w),
+        lambda p, w: homogenize(p, q, w, "exact"),
+        lambda p, w: homogenize(p, q, w, "estimate", 4),
+    ]
+    for call in calls:
+        with pytest.raises(PresentationError, match="unknown vertex 'zzz'"):
+            call(PSL, x)
+        with pytest.raises(PresentationError, match="edge a-b joins"):
+            call(crossed, ab)
+
+
+def test_repeated_table_entry_first_wins():
+    b2 = generator(PSL, "b", 2)
+    f = OddFunction(("b",), table=((b2, Fraction(-1)), (b2, Fraction(1))), sup_norm=Fraction(1))
+    assert f.evaluate(PSL, b2) == referee_sigma(PSL, f, b2) == -1
+    # a forged certificate: "b^-1" and "b^2" read as the same element, and
+    # the literals are read in sorted order, so b^2 -> -1 comes first
+    obj = certificate_to_obj(classify(PSL).certificate)
+    obj["payload"]["sigma_right"]["table"] = {"b": "1", "b^-1": "-1", "b^2": "1"}
+    obj["witness"] = "a b^2"
+    cert = certificate_from_obj(PSL, obj)
+    want, _ = referee_homogenize(PSL, cert.split_qm, cert.witness, "exact")
+    rep = verify_certificate(PSL, Verdict(False, cert))
+    detail = next(c.detail for c in rep.checks if c.name == "split-witness-value")
+    assert detail == f"qbar(witness) = {want}" == "qbar(witness) = -1"

@@ -349,10 +349,22 @@ def test_long_back_scans():
 
 def test_multiply_rejects_unknown_vertex():
     x = NormalWord((Syllable("a", 1), Syllable("zzz", 1)))
-    with pytest.raises(PresentationError):
-        multiply(PSL, x, generator(PSL, "b"))
-    with pytest.raises(PresentationError):
-        multiply(PSL, generator(PSL, "b"), x)
+    b = generator(PSL, "b")
+    for left, right in [(x, b), (b, x), (IDENTITY, x), (x, IDENTITY)]:
+        with pytest.raises(PresentationError):
+            multiply(PSL, left, right)
+
+
+def test_syllable_objects_shared_per_value():
+    # a call makes at most one Syllable object per (vertex, exponent) value
+    rng = random.Random(11)
+    p = random_presentation(rng, 8, 0.3)
+    ids = p.vertex_ids
+    x = normal_form(p, [(rng.choice(ids), rng.choice([-3, -2, -1, 1, 2, 3]))
+                        for _ in range(1024)])
+    for w in (x, invert(p, x)):
+        assert len(w) > 300
+        assert len({id(s) for s in w.syllables}) == len(set(w.syllables))
 
 
 def test_commutator_trivial_when_commuting(z2):
@@ -382,6 +394,8 @@ def test_split_free_product():
     ]
     with pytest.raises(PresentationError):
         split_free_product(PATH, ["a"], IDENTITY)  # edge a-b crosses the split
+    with pytest.raises(PresentationError):
+        split_free_product(PSL, ["a"], NormalWord((Syllable("b", 1), Syllable("zzz", 1))))
 
 
 def test_parse_word_errors():
