@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import classes as cl
-from .presentation import Presentation, PresentationError, _factorization, _prime_power_parts
+from .presentation import Presentation, PresentationError, _factorization
 from .words import NormalWord, Syllable, exponent_weight, normal_form, power
 
 LABELLED_GRAPH = "LABELLED_GRAPH"
@@ -56,10 +56,7 @@ def transvection_exponent(p: Presentation, v: str, w: str) -> int:
         return 1
     if nw is None:
         raise PresentationError(f"transvection {v}->{w}: finite source, infinite target")
-    if len(_prime_power_parts(nv)) != 1 or len(_prime_power_parts(nw)) != 1:
-        raise PresentationError("transvection exponent requires primary orders")
-    prime = cl._prime_of(p, v)
-    if cl._prime_of(p, w) != prime:
+    if cl._prime_of(p, v) != cl._prime_of(p, w):
         raise PresentationError(f"transvection {v}->{w}: different primes")
     # q = max(1, p^(l-k)) = max(1, nw // nv) since nv = p^k, nw = p^l
     return max(1, nw // nv)
@@ -182,10 +179,8 @@ def aut0_generators(p: Presentation) -> list[AutGen]:
         else:
             for m in _unit_group_generators(n):
                 gens.append(AutGen(FACTOR, vertex=v, unit=m % n))
-    for v in p.vertex_ids:
-        for w in p.vertex_ids:
-            if v != w and cl.preorder(p, cl.LEQ_TAU, v, w):
-                gens.append(AutGen(TRANSVECTION, vertex=v, target=w))
+    for v, w in cl.transvections(p):
+        gens.append(AutGen(TRANSVECTION, vertex=v, target=w))
     for v in p.vertex_ids:
         for K in p.components_minus_star(v):
             gens.append(AutGen(PARTIAL_CONJ, vertex=v, component=K))

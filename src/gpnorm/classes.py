@@ -8,13 +8,14 @@ Three relations on the vertex set:
                    either #G_v infinite and v <= w, or both orders are powers
                    of the same prime and v <=_s w.
 
-Mutual <=_tau partitions the vertices into classes of three kinds: free
-abelian (infinite orders, pairwise commuting), free (infinite orders,
-pairwise non-commuting), or finite primary (orders all powers of one prime;
-such a class always spans a clique).  The induced partial order on classes
-drives the boundedness classifier; its lower cones are exactly the vertex
-sets whose retraction kernels are invariant under the pure automorphism
-group.
+Every reader of <=_tau reads its pairs from ``transvections``, the one place
+it is decided.  Mutual <=_tau partitions the vertices into classes of three
+kinds: free abelian (infinite orders, pairwise commuting), free (infinite
+orders, pairwise non-commuting), or finite primary (orders all powers of one
+prime; such a class always spans a clique).  The induced partial order on
+classes drives the boundedness classifier; its lower cones are exactly the
+vertex sets whose retraction kernels are invariant under the pure
+automorphism group.
 
 The join decomposition reads a direct-product factorization off the
 connected components of the complement graph: an isolated infinite vertex is
@@ -25,6 +26,7 @@ else is flagged OTHER.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -55,27 +57,41 @@ def _prime_of(p: Presentation, v: str) -> int | None:
 
 
 def preorder(p: Presentation, kind: str, v: str, w: str) -> bool:
-    """Truth value of v <= w / v <=_s w / v <=_tau w."""
+    """Truth value of v <= w / v <=_s w / v <=_tau w.  LEQ_TAU reads
+    transvections, so it expects a primary presentation."""
     p.index(v), p.index(w)
     if kind == LEQ:
         return p.link(v) <= p.star(w)
     if kind == LEQ_S:
         return p.star(v) <= p.star(w)
     if kind == LEQ_TAU:
-        return _leq_tau(p, lambda u: _prime_of(p, u), v, w)
+        return v == w or (v, w) in transvections(p)
     raise ValueError(f"unknown preorder kind {kind!r}")
 
 
-def _leq_tau(p: Presentation, prime, v: str, w: str) -> bool:
-    """v <=_tau w for valid ids; prime(u) is the prime of a finite vertex u,
-    asked for only when both orders are finite."""
-    if v == w:
-        return True
-    if p.order(v) is None:
-        return p.link(v) <= p.star(w)
-    if p.order(w) is None:
-        return False
-    return prime(v) == prime(w) and p.star(v) <= p.star(w)
+def transvections(p: Presentation) -> list[tuple[str, str]]:
+    """Every pair (v, w) with v != w and v <=_tau w, ordered by the
+    declaration index of v, then of w: the one computation of <=_tau.
+
+    For an infinite v the test is Lk(v) subset of St(w); for a finite v it
+    is St(v) subset of St(w) with w finite of the same prime.  Links and
+    stars are the presentation's adjacency bitmasks.  A prime is computed
+    only after the star test passes, so a non-primary order raises
+    PresentationError only when it takes part in such a pair.
+    """
+    ids, orders = p.vertex_ids, p._orders
+    stars = [mask | 1 << i for i, mask in enumerate(p._adj_mask)]
+    prime = functools.cache(lambda k: _prime_of(p, ids[k]))
+    out = []
+    for i, v in enumerate(ids):
+        infinite = orders[i] is None
+        dominated = p._adj_mask[i] if infinite else stars[i]
+        for j, w in enumerate(ids):
+            if i == j or dominated & ~stars[j]:
+                continue
+            if infinite or (orders[j] is not None and prime(i) == prime(j)):
+                out.append((v, w))
+    return out
 
 
 @dataclass(frozen=True)
@@ -134,8 +150,7 @@ def tau_structure(p: Presentation) -> TauStructure:
     if not p.is_primary():
         raise PresentationError("tau structure requires a primary presentation")
     ids = p.vertex_ids
-    prime = {v: _prime_of(p, v) for v in ids}
-    tau = {(v, w) for v in ids for w in ids if _leq_tau(p, prime.get, v, w)}
+    tau = {(v, v) for v in ids}.union(transvections(p))
     # classes: mutual <=_tau, ordered by least declaration index
     assigned: dict[str, int] = {}
     classes: list[tuple[str, ...]] = []
@@ -164,7 +179,7 @@ def tau_structure(p: Presentation) -> TauStructure:
             else:
                 types.append(ClassType(FREE, rank=len(cls)))
         else:
-            primes = {prime[v] for v in cls}
+            primes = {_prime_of(p, v) for v in cls}
             if None in primes or len(primes) != 1:
                 raise PresentationError(f"class {cls}: not a single-prime class")
             total = 1
@@ -206,13 +221,16 @@ def lower_cone_violation(p: Presentation, X: Iterable[str]) -> tuple[str, str] |
     So K_X is moved exactly by tv(s, t) with s outside X and t in X, which
     exists exactly when s <=_tau t: X is a lower cone.  The labelled graph
     automorphisms are not pure and are not in the generating set.
+
+    The pairs s <=_tau t are read from transvections; the one returned has
+    the least t, then the least s, in declaration order.
     """
     xs = set(X)
-    for t in sorted(xs, key=p.index):
-        for s in p.vertex_ids:
-            if s not in xs and preorder(p, LEQ_TAU, s, t):
-                return (s, t)
-    return None
+    for x in xs:
+        p.index(x)
+    # min keeps the first of equal keys, and the list is ordered by s
+    pairs = [(s, t) for s, t in transvections(p) if t in xs and s not in xs]
+    return min(pairs, key=lambda pair: p.index(pair[1]), default=None)
 
 
 @dataclass(frozen=True)
@@ -268,7 +286,7 @@ def classes_json_obj(p: Presentation) -> dict:
         "vertices": list(ts.vertices),
         "leq": mat(LEQ),
         "leq_s": mat(LEQ_S),
-        "leq_tau": mat(LEQ_TAU),
+        "leq_tau": {v: [w for w in ts.vertices if (v, w) in ts.leq_tau] for v in ts.vertices},
         "classes": [
             {
                 "vertices": list(cls),
@@ -288,7 +306,7 @@ def classes_json_obj(p: Presentation) -> dict:
             "m": jd.m,
             "finite_part": list(jd.finite_part),
         },
-        "bounded_form": bounded_form_check(p),
+        "bounded_form": not jd.has_other and jd.n != 1,
     }
 
 

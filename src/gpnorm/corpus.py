@@ -74,7 +74,6 @@ ORDER_POOL = (2, 2, 3, 4, None, None)
 def random_presentation(
     rng: random.Random,
     max_vertices: int = 8,
-    edge_prob: float = 0.4,
     order_pool=ORDER_POOL,
 ) -> Presentation:
     """A random primary presentation with 1..max_vertices vertices."""
@@ -87,17 +86,17 @@ def random_presentation(
         [ids[i], ids[j]]
         for i in range(n)
         for j in range(i + 1, n)
-        if rng.random() < edge_prob
+        if rng.random() < 0.4
     ]
     return parse_presentation({"vertices": vertices, "edges": edges})
 
 
 def random_word(
-    p: Presentation, rng: random.Random, max_sylls: int = 8, max_exp: int = 3
+    p: Presentation, rng: random.Random, max_sylls: int = 8
 ) -> NormalWord:
     sylls = []
     for _ in range(rng.randint(0, max_sylls)):
         v = rng.choice(p.vertex_ids)
-        e = rng.choice([k for k in range(-max_exp, max_exp + 1) if k != 0])
+        e = rng.choice((-3, -2, -1, 1, 2, 3))
         sylls.append((v, e))
     return normal_form(p, sylls)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .classifier import BOUNDED_DECOMPOSITION, CITATION, HOMOMORPHISM, SPLIT_QM
 from .presentation import Presentation
 from .quasimorphisms import homogenize
 from .words import IDENTITY, NormalWord, invert, multiply, retract
@@ -101,9 +102,9 @@ def norm_lower(p: Presentation, x: NormalWord, cert) -> Fraction:
     seed set V.  Accepts HOMOMORPHISM and SPLIT_QM certificates; bounded
     verdicts and citation-level certificates carry no numeric bound."""
     kind = cert.kind
-    if kind == "BOUNDED_DECOMPOSITION":
+    if kind == BOUNDED_DECOMPOSITION:
         raise ValueError("bounded verdict: no lower-bound certificate exists")
-    if kind == "CITATION":
+    if kind == CITATION:
         raise ValueError("citation-level certificate: no numeric bound available")
     cur = p
     y = x
@@ -113,12 +114,12 @@ def norm_lower(p: Presentation, x: NormalWord, cert) -> Fraction:
             raise ValueError(f"certificate chain mentions unknown vertices {missing}")
         y = retract(cur, X, y)
         cur = cur.sub(X)
-    if kind == "HOMOMORPHISM":
+    if kind == HOMOMORPHISM:
         if len(cur.vertices) != 1 or cur.vertices[0].order is not None:
             raise ValueError("homomorphism certificate must end at a single Z vertex")
         k = y.syllables[0].exponent if y else 0
         return Fraction(abs(k))  # |qbar| / (B + D) with B = 1, D = 0
-    if kind == "SPLIT_QM":
+    if kind == SPLIT_QM:
         qm = cert.split_qm
         if qm is None:
             raise ValueError("split certificate without quasimorphism payload")

@@ -240,8 +240,7 @@ def homogenize(
 
 
 def defect_bound(
-    p: Presentation, q: SplitQM, empirical_samples: int, seed: int = 0,
-    word_pool: list[NormalWord] | None = None,
+    p: Presentation, q: SplitQM, empirical_samples: int, seed: int = 0
 ) -> tuple[Fraction, Fraction]:
     """(analytic, empirical_max) defect of q.
 
@@ -251,14 +250,9 @@ def defect_bound(
     analytic = q.defect
     rng = random.Random(seed)
     emp = Fraction(0)
-    pool = word_pool
     for _ in range(empirical_samples):
-        if pool:
-            a = rng.choice(pool)
-            b = rng.choice(pool)
-        else:
-            a = random_word(p, rng)
-            b = random_word(p, rng)
+        a = random_word(p, rng)
+        b = random_word(p, rng)
         d = abs(
             split_qm_eval(p, q, multiply(p, a, b))
             - split_qm_eval(p, q, a)

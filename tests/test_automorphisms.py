@@ -27,6 +27,7 @@ from gpnorm.automorphisms import (
     _unit_group_generators,
     transvection_exponent,
 )
+from gpnorm.presentation import PresentationError
 
 
 def pres(orders, edges=()):
@@ -81,6 +82,12 @@ def test_transvection_exponent():
     assert transvection_exponent(p, "b", "a") == 1
     q = pres({"a": None, "b": None}, [("a", "b")])
     assert transvection_exponent(q, "a", "b") == 1
+    finite_to_infinite = pres({"a": 2, "b": None}, [("a", "b")])
+    different_primes = pres({"a": 2, "b": 3}, [("a", "b")])
+    order_6 = pres({"a": 6, "b": 2}, [("a", "b")])
+    for r in (finite_to_infinite, different_primes, order_6):
+        with pytest.raises(PresentationError):
+            transvection_exponent(r, "a", "b")
 
 
 def test_make_generator_validation():

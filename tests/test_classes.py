@@ -1,6 +1,10 @@
+import itertools
+import random
+
 import pytest
 
 from gpnorm import (
+    aut0_generators,
     bounded_form_check,
     join_decomposition,
     lower_cone_violation,
@@ -21,8 +25,10 @@ from gpnorm.classes import (
     Z_FACTOR,
     classes_json_obj,
     hasse_dot,
+    transvections,
 )
-from gpnorm.presentation import PresentationError
+from gpnorm.automorphisms import TRANSVECTION
+from gpnorm.presentation import PresentationError, _factorization
 
 
 def pres(orders, edges):
@@ -149,3 +155,44 @@ def test_requires_primary():
         tau_structure(p)
     with pytest.raises(PresentationError):
         join_decomposition(p)
+
+
+def leq_tau_referee(p, v, w):
+    """v <=_tau w read off the definition with link and star sets."""
+    if v == w:
+        return True
+    if p.order(v) is None:
+        return p.link(v) <= p.star(w)
+    if p.order(w) is None:
+        return False
+    prime = {u: _factorization(p.order(u))[0][0] for u in (v, w)}
+    return prime[v] == prime[w] and p.star(v) <= p.star(w)
+
+
+def test_transvections_match_referee():
+    rng = random.Random(1995)
+    for k in range(300):
+        n = rng.randint(1, 8)
+        density = k % 5 / 4 if k % 2 else rng.random()
+        ids = [f"v{i}" for i in range(n)]
+        p = pres(
+            {v: rng.choice((2, 3, 4, 8, 9, None)) for v in ids},
+            [e for e in itertools.combinations(ids, 2) if rng.random() < density],
+        )
+        want = [(v, w) for v in ids for w in ids if v != w and leq_tau_referee(p, v, w)]
+        assert transvections(p) == want, repr(p)
+        for v in ids:
+            for w in ids:
+                assert preorder(p, LEQ_TAU, v, w) == leq_tau_referee(p, v, w), (repr(p), v, w)
+        tvs = [g.literal() for g in aut0_generators(p) if g.kind == TRANSVECTION]
+        assert tvs == [f"tv({v},{w})" for v, w in want], repr(p)
+        if n > 6:
+            continue
+        for size in range(n + 1):
+            for X in itertools.combinations(ids, size):
+                brute = next(
+                    ((s, t) for t in X for s in ids
+                     if s not in X and leq_tau_referee(p, s, t)),
+                    None,
+                )
+                assert lower_cone_violation(p, X) == brute, (repr(p), X)
