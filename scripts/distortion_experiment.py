@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Distortion experiment: certified norm growth of powers in the corpus.
 
-For each (group, element) pair below, computes the certified lower bound and
-the BFS upper bound of |x^n| for n up to --nmax, prints the table, and
-writes CSV files (plus SVG plots) under --out.
+For each (group, element) pair below, runs ``gpnorm distortion --svg`` for
+n up to --nmax: it computes the certified lower bound and the BFS upper bound
+of |x^n|, prints the table, and writes CSV files (plus SVG plots) under --out.
 
 Usage: python scripts/distortion_experiment.py [--nmax 12] [--out results]
 """
@@ -11,20 +11,15 @@ Usage: python scripts/distortion_experiment.py [--nmax 12] [--out results]
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
+import json
 import sys
+import tempfile
 from pathlib import Path
 
-from gpnorm import (
-    aut0_generators,
-    classify,
-    distortion_table,
-    expand_to_primary,
-    named_presentation,
-    normal_form,
-    orbit,
-    parse_word,
-)
-from gpnorm.cli import _write_svg
+from gpnorm import gen_corpus
+from gpnorm.cli import main as gpnorm_main
 
 CASES = [
     # (corpus name, word literal, orbit depth, length cap, radius)
@@ -43,26 +38,25 @@ def main() -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    for name, literal, depth, cap, radius in CASES:
-        p = expand_to_primary(named_presentation(name))
-        x = parse_word(p, literal)
-        verdict = classify(p)
-        cert = None if verdict.bounded else verdict.certificate
-        orb = orbit(
-            p, [normal_form(p, [(v, 1)]) for v in p.vertex_ids],
-            aut0_generators(p), depth, cap,
-        )
-        rows = distortion_table(p, x, cert, args.nmax, orb, radius)
-        print(f"== {name}: x = {literal} ({verdict.certificate.kind}) ==")
-        print("n,lower,upper")
-        lines = ["n,lower,upper"]
-        for n, lo, up in rows:
-            line = f"{n},{lo},{'' if up is None else up}"
-            print(line)
-            lines.append(line)
-        (out / f"{name}_distortion.csv").write_text("\n".join(lines) + "\n")
-        _write_svg(str(out / f"{name}_distortion.svg"), rows)
-        print()
+    with tempfile.TemporaryDirectory() as tmp:
+        gen_corpus(tmp)
+        for name, literal, depth, cap, radius in CASES:
+            # a fresh --cert path: distortion classifies and writes the certificate
+            cert = Path(tmp, f"{name}.cert")
+            csv = io.StringIO()
+            with contextlib.redirect_stdout(csv):
+                code = gpnorm_main([
+                    "distortion", str(Path(tmp, f"{name}.json")), literal,
+                    "--orbit-depth", str(depth), "--len-cap", str(cap),
+                    "--radius", str(radius), "--nmax", str(args.nmax),
+                    "--cert", str(cert), "--svg", str(out / f"{name}_distortion.svg"),
+                ])
+            if code:
+                return code
+            kind = json.loads(cert.read_text())["kind"]
+            print(f"== {name}: x = {literal} ({kind}) ==")
+            print(csv.getvalue())
+            (out / f"{name}_distortion.csv").write_text(csv.getvalue())
     print(f"wrote CSV/SVG to {out}/")
     return 0
 

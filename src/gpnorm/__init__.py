@@ -8,7 +8,6 @@ graph product of primary or infinite cyclic groups.
 from .automorphisms import (
     AutGen,
     OrbitSet,
-    apply,
     apply_gen,
     aut0_generators,
     make_generator,
@@ -43,7 +42,6 @@ from .presentation import (
 from .quasimorphisms import (
     OddFunction,
     SplitQM,
-    defect_bound,
     default_odd_function,
     homogenize,
     make_split_qm,
@@ -62,14 +60,13 @@ from .words import (
     parse_word,
     power,
     retract,
-    split_free_product,
     word_literal,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AutGen", "OrbitSet", "apply", "apply_gen", "aut0_generators",
+    "AutGen", "OrbitSet", "apply_gen", "aut0_generators",
     "make_generator", "orbit", "parse_generator",
     "JoinDecomposition", "TauStructure", "bounded_form_check",
     "join_decomposition", "lower_cone_violation",
@@ -79,9 +76,9 @@ __all__ = [
     "distortion_table", "norm_ball", "norm_lower", "norm_upper",
     "Presentation", "PresentationError", "VertexSpec", "expand_to_primary",
     "parse_presentation",
-    "OddFunction", "SplitQM", "defect_bound", "default_odd_function",
+    "OddFunction", "SplitQM", "default_odd_function",
     "homogenize", "make_split_qm", "split_qm_eval",
     "IDENTITY", "NormalWord", "Syllable", "commutator", "exponent_weight",
     "generator", "invert", "multiply", "normal_form", "parse_word", "power",
-    "retract", "split_free_product", "word_literal",
+    "retract", "word_literal",
 ]

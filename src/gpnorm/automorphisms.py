@@ -235,19 +235,6 @@ def apply_gen(p: Presentation, g: AutGen, x: NormalWord, inverse: bool = False) 
     raise ValueError(f"unknown generator kind {g.kind!r}")
 
 
-def apply(p: Presentation, seq, x: NormalWord) -> NormalWord:
-    """Apply a sequence of generators in order; items are AutGen or
-    (AutGen, -1) for an inverse step.  The empty sequence is the identity."""
-    out = x
-    for item in seq:
-        if isinstance(item, AutGen):
-            g, sign = item, 1
-        else:
-            g, sign = item
-        out = apply_gen(p, g, out, inverse=sign < 0)
-    return out
-
-
 @dataclass(frozen=True)
 class OrbitSet:
     """Truncated closure of a seed set under generators and their inverses."""

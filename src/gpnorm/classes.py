@@ -110,26 +110,11 @@ class TauStructure:
     class_types: tuple[ClassType, ...]
     class_order: frozenset[tuple[int, int]]  # (i, j) means classes[i] <= classes[j]
 
-    def class_of(self, v: str) -> int:
-        for i, cls in enumerate(self.classes):
-            if v in cls:
-                return i
-        raise KeyError(v)
-
     def maximal_classes(self) -> tuple[int, ...]:
         out = []
         for i in range(len(self.classes)):
             if not any(
                 (i, j) in self.class_order and i != j for j in range(len(self.classes))
-            ):
-                out.append(i)
-        return tuple(out)
-
-    def minimal_classes(self) -> tuple[int, ...]:
-        out = []
-        for i in range(len(self.classes)):
-            if not any(
-                (j, i) in self.class_order and i != j for j in range(len(self.classes))
             ):
                 out.append(i)
         return tuple(out)
@@ -225,7 +210,7 @@ def lower_cone_violation(p: Presentation, X: Iterable[str]) -> tuple[str, str] |
     The pairs s <=_tau t are read from transvections; the one returned has
     the least t, then the least s, in declaration order.
     """
-    xs = set(X)
+    xs = dict.fromkeys(X)  # ordered: an unknown vertex is named in input order
     for x in xs:
         p.index(x)
     # min keeps the first of equal keys, and the list is ordered by s

@@ -299,9 +299,8 @@ def certificate_from_obj(p: Presentation, obj: dict) -> Certificate:
             target_vertex=payload["target_vertex"], note=note,
         )
     if kind == SPLIT_QM:
-        final = p
-        for step in chain:
-            final = final.sub(step)
+        # the payload lives on the last step; verify checks that the steps nest
+        final = p.sub(chain[-1]) if chain else p
         return Certificate(
             kind, chain=chain, witness=witness,
             split_qm=split_qm_from_obj(final, payload), note=note,
@@ -542,8 +541,9 @@ def verify_certificate(p: Presentation, verdict: Verdict) -> Report:
         return rep
     left = set(qm.left)
     cross = [e for e in final.edges if (e[0] in left) != (e[1] in left)]
-    rep.add("split-valid", not cross and left < set(final.vertex_ids), f"M={qm.left}")
-    if cross:
+    valid = not cross and left < set(final.vertex_ids)
+    rep.add("split-valid", valid, f"M={qm.left}")
+    if not valid:
         return rep
     sigmas = (qm.sigma_left, qm.sigma_right)
     sides = (left, set(final.vertex_ids) - left)

@@ -106,14 +106,15 @@ def norm_lower(p: Presentation, x: NormalWord, cert) -> Fraction:
         raise ValueError("bounded verdict: no lower-bound certificate exists")
     if kind == CITATION:
         raise ValueError("citation-level certificate: no numeric bound available")
-    cur = p
-    y = x
+    last = p.vertex_ids
     for X in cert.chain:
-        missing = set(X) - set(cur.vertex_ids)
+        missing = [v for v in X if v not in last]
         if missing:
             raise ValueError(f"certificate chain mentions unknown vertices {missing}")
-        y = retract(cur, X, y)
-        cur = cur.sub(X)
+        last = X
+    # the steps nest, so the retractions along the chain compose into one
+    y = retract(p, last, x)
+    cur = p.sub(last)
     if kind == HOMOMORPHISM:
         if len(cur.vertices) != 1 or cur.vertices[0].order is not None:
             raise ValueError("homomorphism certificate must end at a single Z vertex")

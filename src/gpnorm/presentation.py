@@ -140,7 +140,7 @@ class Presentation:
 
     def sub(self, X: Iterable[str]) -> "Presentation":
         """Full subgraph presentation spanned by X, in declaration order."""
-        keep = set(X)
+        keep = dict.fromkeys(X)  # ordered: an unknown vertex is named in input order
         for x in keep:
             self.index(x)
         verts = [v for v in self.vertices if v.id in keep]
@@ -194,9 +194,6 @@ class Presentation:
                 verts.append({"id": v.id, "order": "inf" if v.order is None else v.order})
         edges = sorted(self.edges, key=lambda e: (self.index(e[0]), self.index(e[1])))
         return {"vertices": verts, "edges": [list(e) for e in edges]}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2, sort_keys=True)
 
     def to_dot(self, complement: bool = False) -> str:
         name = "complement" if complement else "gamma"

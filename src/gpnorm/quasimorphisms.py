@@ -4,8 +4,7 @@ Given a free-product split W = W_M * W_{V-M}, a pair of bounded odd
 functions on the two factors sums over the alternating-block normal form to
 a quasimorphism.  Cancelling block pairs contribute zero by oddness, and a
 product of two words merges at most one junction block, so the defect is
-bounded by 3 * max(sup norms); this analytic constant is re-checked
-empirically by ``defect_bound``.  The homogenization has defect at most
+bounded by 3 * max(sup norms).  The homogenization has defect at most
 twice that, vanishes on conjugates of factor elements, and therefore turns a
 nonzero value on a witness into a norm lower bound.
 
@@ -18,14 +17,12 @@ rounding.
 
 from __future__ import annotations
 
-import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from .corpus import random_word
 from .presentation import Presentation, PresentationError
 from .words import (
     IDENTITY,
@@ -35,7 +32,6 @@ from .words import (
     normal_form,
     parse_word,
     power,
-    split_free_product,
     word_literal,
 )
 
@@ -123,9 +119,7 @@ def default_odd_function(p: Presentation, side: Iterable[str]) -> OddFunction:
     product of the least non-commuting pair of involutions (an infinite-order
     element), which exists whenever the side is not C_2^k.
     """
-    vs = tuple(sorted(set(side), key=p.index))
-    for v in vs:
-        p.index(v)
+    vs = tuple(sorted(dict.fromkeys(side), key=p.index))  # raises in input order
     if not vs or _is_elementary_two(p, set(vs)):
         return OddFunction(side=vs)
     for v in vs:
@@ -180,11 +174,11 @@ def make_split_qm(p: Presentation, M: Iterable[str]) -> SplitQM:
     Raises when the split is invalid or both sides are C_2^k (then every odd
     function vanishes and no nonzero split quasimorphism exists).
     """
-    left = tuple(sorted(set(M), key=p.index))
+    left = tuple(sorted(dict.fromkeys(M), key=p.index))
     right = tuple(v for v in p.vertex_ids if v not in set(left))
     if not left or not right:
         raise PresentationError("split must have two nonempty sides")
-    split_free_product(p, left, IDENTITY)  # validates the split
+    _free_runs(p, left, IDENTITY)  # validates the split
     s1 = default_odd_function(p, left)
     s2 = default_odd_function(p, right)
     if s1.is_zero and s2.is_zero:
@@ -237,30 +231,6 @@ def homogenize(
         return _sigma_sum(p, q, runs[i:j + 1]), Fraction(0)
     # odd count: the end blocks share a side and the loop left their junction
     return _sigma_sum(p, q, runs[i + 1:j] + [(runs[i][0], junction.syllables)]), Fraction(0)
-
-
-def defect_bound(
-    p: Presentation, q: SplitQM, empirical_samples: int, seed: int = 0
-) -> tuple[Fraction, Fraction]:
-    """(analytic, empirical_max) defect of q.
-
-    The empirical maximum of |q(ab) - q(a) - q(b)| over sampled pairs must
-    never exceed the analytic constant 3 * max(sup norms).
-    """
-    analytic = q.defect
-    rng = random.Random(seed)
-    emp = Fraction(0)
-    for _ in range(empirical_samples):
-        a = random_word(p, rng)
-        b = random_word(p, rng)
-        d = abs(
-            split_qm_eval(p, q, multiply(p, a, b))
-            - split_qm_eval(p, q, a)
-            - split_qm_eval(p, q, b)
-        )
-        if d > emp:
-            emp = d
-    return analytic, emp
 
 
 # -- serialization ---------------------------------------------------------

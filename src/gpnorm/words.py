@@ -48,9 +48,9 @@ In a complete graph the word never holds more than |V| entries.
 
 The routine keeps each input ``Syllable`` whose exponent it does not change;
 within one call it makes at most one new object per (vertex, exponent).
-``split_free_product`` takes the one-side runs of a canonical word as its
-blocks as they stand: no syllable commutes across a free-product split, so
-each run is already reduced and lex-least.
+``_free_runs`` takes the one-side runs of a canonical word as its
+free-product blocks as they stand: no syllable commutes across a
+free-product split, so each run is already reduced and lex-least.
 
 Finite-order exponents are stored in {1, ..., n-1}; infinite-order exponents
 are arbitrary nonzero integers.
@@ -177,7 +177,7 @@ def generator(p: Presentation, v: str, e: int = 1) -> NormalWord:
 
 def retract(p: Presentation, X: Iterable[str], x: NormalWord) -> NormalWord:
     """Image under the standard retraction killing all generators outside X."""
-    keep = set(X)
+    keep = dict.fromkeys(X)  # ordered: an unknown vertex is named in input order
     for v in keep:
         p.index(v)
     return normal_form(p, [s for s in x.syllables if s.vertex in keep])
@@ -188,30 +188,15 @@ def exponent_weight(x: NormalWord) -> int:
     return sum(abs(e) for _, e in x.syllables)
 
 
-@dataclass(frozen=True)
-class AlternatingForm:
-    """Free-product normal form: maximal alternating blocks, LEFT blocks in
-    the subgroup generated by M, RIGHT blocks in its complement."""
-
-    factors: tuple[tuple[str, NormalWord], ...]  # side is "L" or "R"
-
-
-def split_free_product(p: Presentation, M: Iterable[str], x: NormalWord) -> AlternatingForm:
-    """Split x along the free-product decomposition W = W_M * W_{V-M}.
+def _free_runs(p: Presentation, M: Iterable[str], x: NormalWord) -> list[tuple[str, tuple]]:
+    """The blocks of x along the free-product decomposition W = W_M * W_{V-M},
+    as (side, syllable tuple) pairs with side "L" in M and "R" outside.
 
     Requires that no edge joins M and V-M.  Concatenating the blocks in
-    order recovers x; each block is a nontrivial element of its side.
-
-    No syllable commutes across the split, so every shuffle of the canonical
-    x keeps each maximal one-side run in place.  Each run is therefore
-    reduced and lex-least, and is its block as it stands.
+    order recovers x, and each block is a canonical nontrivial element of
+    its side.
     """
-    return AlternatingForm(tuple((side, NormalWord(run)) for side, run in _free_runs(p, M, x)))
-
-
-def _free_runs(p: Presentation, M: Iterable[str], x: NormalWord) -> list[tuple[str, tuple]]:
-    """The blocks of ``split_free_product`` as (side, syllable tuple) pairs."""
-    left = set(M)
+    left = dict.fromkeys(M)  # ordered: an unknown vertex is named in input order
     for v in left:
         p.index(v)
     for a, b in p.edges:

@@ -5,7 +5,6 @@ import pytest
 
 from gpnorm import (
     IDENTITY,
-    apply,
     apply_gen,
     aut0_generators,
     classify,
@@ -163,9 +162,8 @@ def test_apply_sequence():
     p = pres({"a": None, "b": None}, [("a", "b")])
     t = make_generator(p, TRANSVECTION, vertex="a", target="b")
     x = generator(p, "a")
-    assert apply(p, [t, t], x) == parse_word(p, "a b^2")
-    assert apply(p, [t, (t, -1)], x) == x
-    assert apply(p, [], x) == x
+    assert apply_gen(p, t, apply_gen(p, t, x)) == parse_word(p, "a b^2")
+    assert apply_gen(p, t, apply_gen(p, t, x), inverse=True) == x
 
 
 def test_aut0_generator_families():

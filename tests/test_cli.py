@@ -6,8 +6,12 @@ from pathlib import Path
 
 import pytest
 
+from gpnorm import classify, named_presentation
+from gpnorm.classifier import verdict_to_obj
 from gpnorm.cli import build_parser, main
 from gpnorm.corpus import gen_corpus
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -216,6 +220,46 @@ def test_norm_and_distortion_verify_certificate_first(tmp_path, capsys):
         assert len(err.strip().splitlines()) == 1 and "split-defect-constant" in err
 
 
+# (field of the c2c2c2 certificate, tampered value, exit code, the failed
+# check on exit 2 or the error text on exit 1)
+TAMPERED = {
+    "chain-not-nested": ("chain", [["c"], ["a", "b", "c"]], 2, "chain-subset"),
+    "chain-unknown-vertices": ("chain", [["a", "q", "r", "s"]], 1, "unknown vertex 'q'"),
+    "split-side-outside-step": ("split_left", ["q", "r", "s"], 2, "split-valid"),
+}
+
+
+@pytest.mark.parametrize("case", TAMPERED)
+def test_tampered_certificate_output_independent_of_hash_seed(corpus_dir, tmp_path, case):
+    """verify reads a tampered certificate to the same bytes under two hash
+    seeds: a non-nested chain and a split side outside the last step are
+    FAILs, and an unknown vertex is named in input order."""
+    field, value, want_code, want = TAMPERED[case]
+    obj = verdict_to_obj(classify(named_presentation("c2c2c2")))
+    cert = obj["certificate"]
+    (cert if field == "chain" else cert["payload"])[field] = value
+    path = tmp_path / "tampered.v"
+    path.write_text(json.dumps(obj))
+    runs = [
+        subprocess.run(
+            [sys.executable, "-m", "gpnorm.cli", "verify",
+             str(corpus_dir / "c2c2c2.json"), str(path)],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=seed),
+            capture_output=True, text=True, timeout=60,
+        )
+        for seed in ("1", "2")
+    ]
+    outputs = [(r.returncode, r.stdout, r.stderr) for r in runs]
+    assert outputs[0] == outputs[1]
+    code, out, err = outputs[0]
+    assert code == want_code, err
+    assert err.count("\n") <= 1 and "Traceback" not in err
+    if code == 2:
+        assert [c["name"] for c in json.loads(out)["checks"] if c["status"] == "FAIL"] == [want]
+    else:
+        assert want in err
+
+
 def test_malformed_certificate_file_exits_1(corpus_dir, tmp_path, capsys):
     graph = str(corpus_dir / "psl.json")
     verdict = tmp_path / "v.json"
@@ -275,11 +319,10 @@ def test_help_exits_zero(capsys):
 
 
 def test_distortion_experiment_script(tmp_path):
-    root = Path(__file__).resolve().parent.parent
     done = subprocess.run(
-        [sys.executable, str(root / "scripts" / "distortion_experiment.py"),
+        [sys.executable, str(ROOT / "scripts" / "distortion_experiment.py"),
          "--nmax", "2", "--out", str(tmp_path)],
-        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr

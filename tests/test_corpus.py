@@ -47,7 +47,7 @@ def test_random_presentation_properties():
         p = random_presentation(rng, max_vertices=8)
         assert 1 <= len(p.vertices) <= 8
         assert p.is_primary()
-        obj = json.loads(p.to_json())
+        obj = json.loads(json.dumps(p.to_json_obj()))
         assert parse_presentation(obj) == p
 
 

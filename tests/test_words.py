@@ -20,7 +20,6 @@ from gpnorm import (
     parse_word,
     power,
     retract,
-    split_free_product,
     word_literal,
 )
 from gpnorm.presentation import PresentationError
@@ -385,17 +384,6 @@ def test_lengths():
     w = parse_word(PATH, "a^3 c^-2")
     assert len(w) == 2
     assert exponent_weight(w) == 5
-
-
-def test_split_free_product():
-    form = split_free_product(PSL, ["a"], parse_word(PSL, "a b a b^2"))
-    assert [(s, word_literal(b)) for s, b in form.factors] == [
-        ("L", "a"), ("R", "b"), ("L", "a"), ("R", "b^2"),
-    ]
-    with pytest.raises(PresentationError):
-        split_free_product(PATH, ["a"], IDENTITY)  # edge a-b crosses the split
-    with pytest.raises(PresentationError):
-        split_free_product(PSL, ["a"], NormalWord((Syllable("b", 1), Syllable("zzz", 1))))
 
 
 def test_parse_word_errors():
