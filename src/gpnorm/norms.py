@@ -1,9 +1,19 @@
 """Certified intervals for invariant word norms.
 
-Upper bounds come from breadth-first search over products of elements of a
-truncated orbit set: the orbit is a subset of the true invariant generating
+Upper bounds count factorizations into elements of a truncated orbit set
+and their inverses: the orbit is a subset of the true invariant generating
 set, so any factorization found is a genuine upper bound, and failure within
 the radius is reported as UNKNOWN (None), never converted into a claim.
+
+One rule answers every radius r.  ``norm_ball`` builds the ball B_h of
+radius h = ceil(r/2) by breadth-first search, and ``norm_upper`` reads x
+from it, or else scans u in it for the least d(u) + d(u x) with u x in it.
+This is exact: a factorization of length n <= r <= 2h splits as
+u^-1 * (u x) with both parts of length at most h.  The scan stops as soon
+as the total reaches m + 1, where m is the largest distance in the ball,
+because an x outside B_m has norm at least m + 1.  So a query costs one
+B_h build plus at most one scan of it, and a ball reused across many
+queries costs one scan per query outside it.
 
 Lower bounds come only from exact certificates.  For a product of n orbit
 elements, |qbar(x)| <= n * B + (n-1) * D <= n (B + D) where B bounds |qbar|
@@ -51,49 +61,56 @@ def _ball(p: Presentation, gens: list[NormalWord], radius: int) -> dict[NormalWo
 
 
 def norm_ball(p: Presentation, gens, radius: int) -> dict[NormalWord, int]:
-    """The half-radius ball used by ``norm_upper`` at this radius; reusable
-    across queries."""
-    half = (radius + 1) // 2 if radius >= 4 else radius
-    return _ball(p, _gen_list(gens), half)
+    """The ball of radius ceil(radius/2) that ``norm_upper`` reads at this
+    radius, as distances from the identity; reusable across queries."""
+    return _ball(p, _gen_list(gens), (radius + 1) // 2)
 
 
 def norm_upper(
     p: Presentation, x: NormalWord, gens, radius: int,
     ball: dict[NormalWord, int] | None = None,
 ) -> int | None:
-    """Least n <= radius with x a product of n orbit elements or inverses,
-    found by meet-in-the-middle over a half-radius ball; None if no
-    factorization exists within the radius.
+    """Least n <= radius with x a product of n orbit elements or inverses;
+    None if no factorization exists within the radius.
 
-    A precomputed ``ball`` (from ``norm_ball``) may be passed to amortize the
-    BFS over many queries at the same radius.  It must be symmetric, as
-    ``norm_ball``'s is: u^-1 lies in it at the distance of u, so x = u^-1 *
-    (u x) is found by scanning u rather than u^-1.
+    With h = ceil(radius/2), x is read from the ball B_h if it lies there.
+    Otherwise let m be the largest distance in the ball: x is outside B_m,
+    so its norm is at least m + 1, and if m + 1 > radius the answer is None.
+    Else the answer is the least d(u) + d(u x) <= radius over u with u and
+    u x in B_h; the scan stops at the first total equal to m + 1.  It is
+    exact because any factorization x = g_1 ... g_n with h < n <= 2h splits
+    as u^-1 * (u x) with u^-1 = g_1 ... g_{n-h} and u x = g_{n-h+1} ... g_n.
+
+    A precomputed ``ball`` from ``norm_ball`` at the same radius may be
+    passed to amortize the BFS over many queries.  It must be symmetric, as
+    ``norm_ball``'s is: u^-1 lies in it at the distance of u, so the scan
+    multiplies by u rather than u^-1.  Reuse trades one BFS per query for
+    one scan per query outside the ball; at radius 2 the exit comes at the
+    first hit, but an x of norm above 2 still scans the whole ball.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
     if not x:
         return 0
-    glist = _gen_list(gens)
-    if not glist:
-        return None
     if ball is None:
-        ball = norm_ball(p, glist, radius)
-    if x in ball and ball[x] <= radius:
+        ball = norm_ball(p, gens, radius)
+    if x in ball:
         return ball[x]
-    if radius < 4:
+    floor = max(ball.values()) + 1
+    if floor > radius:
         return None
     best: int | None = None
     for u, du in ball.items():
         if du == 0:
             continue
-        rest = multiply(p, u, x)
-        dv = ball.get(rest)
+        dv = ball.get(multiply(p, u, x))
         if dv is None:
             continue
         total = du + dv
         if total <= radius and (best is None or total < best):
             best = total
+            if best == floor:
+                break
     return best
 
 

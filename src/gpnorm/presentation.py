@@ -287,9 +287,15 @@ def parse_presentation(source: str | dict) -> Presentation:
     return Presentation(verts, [(str(a), str(b)) for a, b in edges])
 
 
+# Trial division takes up to sqrt(n) steps: 2^20 at the ceiling, 2^30 at 2^61.
+MAX_ORDER = 2**40
+
+
 def _factorization(n: int) -> list[tuple[int, int]]:
     """(prime, prime-power part) pairs of n by trial division, sorted by
-    prime."""
+    prime.  Orders above ``MAX_ORDER`` are refused."""
+    if n > MAX_ORDER:
+        raise PresentationError(f"order {n} is above the supported ceiling 2^40")
     parts = []
     m = n
     p = 2

@@ -199,7 +199,8 @@ def _free_runs(p: Presentation, M: Iterable[str], x: NormalWord) -> list[tuple[s
     left = dict.fromkeys(M)  # ordered: an unknown vertex is named in input order
     for v in left:
         p.index(v)
-    for a, b in p.edges:
+    # by vertex index, so the edge named does not depend on the hash seed
+    for a, b in sorted(p.edges, key=lambda e: (p.index(e[0]), p.index(e[1]))):
         if (a in left) != (b in left):
             raise PresentationError(
                 f"not a free-product split: edge {a}-{b} joins the two sides"

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -105,6 +106,24 @@ def test_norm_json(corpus_dir, capsys):
     obj = json.loads(out)
     assert obj["upper"] == 1  # a b a is in the orbit
     assert obj["lower"] == "0"
+
+
+def test_norm_radius_3_builds_half_radius_ball(tmp_path, capsys):
+    """random_3_002 of ``gen-corpus --random 6 --seed 3``: C_4, Z and an
+    edge C_2 - C_2.  The full radius-3 ball over its 176 orbit elements
+    does not fit in 2 GB; radius 3 reads the radius-2 ball instead."""
+    path = tmp_path / "random_3_002.json"
+    path.write_text(json.dumps({
+        "vertices": [{"id": "v0", "order": 4}, {"id": "v1", "order": "inf"},
+                     {"id": "v2", "order": 2}, {"id": "v3", "order": 2}],
+        "edges": [["v2", "v3"]],
+    }))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "norm", str(path), "v1 v3 v3", "--orbit-depth", "2",
+                       "--len-cap", "8", "--radius", "3")
+    assert time.perf_counter() - start < 5
+    obj = json.loads(out)
+    assert code == 0 and obj["upper"] == 1 and obj["params"]["orbit_size"] == 176
 
 
 def test_norm_with_custom_generators(corpus_dir, capsys):
@@ -292,6 +311,19 @@ def test_malformed_presentation_exits_1(tmp_path, capsys, text):
     path.write_text(text)
     code, out, err = run(capsys, "classify", str(path))
     assert (code, out, err.count("\n")) == (1, "", 1) and err.startswith("gpnorm: error:")
+
+
+def test_order_above_ceiling_exits_1(tmp_path, capsys):
+    """A vertex of order 2^61 - 1 would need minutes of trial division; it
+    is refused at once with one line."""
+    path = tmp_path / "mersenne61.json"
+    path.write_text(json.dumps({"vertices": [{"id": "a", "order": 2**61 - 1},
+                                             {"id": "b", "order": "inf"}]}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "classify", str(path))
+    assert time.perf_counter() - start < 1
+    assert (code, out, err.count("\n")) == (1, "", 1)
+    assert err == f"gpnorm: error: order {2**61 - 1} is above the supported ceiling 2^40\n"
 
 
 def test_gen_corpus_cli(tmp_path, capsys):

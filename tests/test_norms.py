@@ -7,7 +7,9 @@ from gpnorm import (
     aut0_generators,
     classify,
     distortion_table,
+    expand_to_primary,
     generator,
+    named_presentation,
     norm_ball,
     norm_lower,
     norm_upper,
@@ -47,15 +49,39 @@ def test_norm_upper_unknown_is_none():
     assert norm_upper(p, generator(p, "a", 100), orb, 3) is None
 
 
+# the seven norm_interval shapes, with small orbits: (depth, len_cap, R)
+REFEREE_SHAPES = {
+    "psl": (1, 3, 5),
+    "dinf": (2, 6, 5),
+    "f2": (1, 1, 4),
+    "path_raag": (1, 1, 4),
+    "c2c2c2": (0, 1, 5),
+    "c6_star_z": (1, 1, 4),
+    "z2_x_dinf": (0, 1, 5),
+}
+
+
 def test_norm_upper_mitm_matches_direct():
-    p = pres({"a": 2, "b": 3})
-    orb = std_orbit(p, 2, 4)
-    for lit in ["a b", "a b a b", "b a b^2", "a b^2 a b a"]:
-        x = parse_word(p, lit)
-        direct = norm_upper(p, x, orb, 3)
-        mitm = norm_upper(p, x, orb, 6)
-        if direct is not None:
-            assert mitm is not None and mitm <= direct
+    """norm_upper at every radius r <= R equals the distance in one full
+    breadth-first ball of radius R + 1, or None beyond r: for every element
+    of B_R and a few of the sphere R + 1, with a fresh ball, a reused one,
+    and a reused one in reverse order, where the first total found is not
+    always the least."""
+    for name, (depth, cap, R) in REFEREE_SHAPES.items():
+        p = expand_to_primary(named_presentation(name))
+        orb = std_orbit(p, depth, cap)
+        dist = _ball(p, list(orb.elements), R + 1)
+        outside = [x for x, d in dist.items() if d == R + 1][:20]
+        assert outside, name
+        words = [(x, d) for x, d in dist.items() if d <= R] + [(x, R + 1) for x in outside]
+        for r in range(1, R + 1):
+            ball = norm_ball(p, orb, r)
+            assert ball == _ball(p, list(orb.elements), (r + 1) // 2)
+            balls = (None, ball, dict(reversed(ball.items())))
+            for x, d in words:
+                want = d if d <= r else None
+                for reused in balls:
+                    assert norm_upper(p, x, orb, r, ball=reused) == want, (name, x, d, r)
 
 
 def test_norm_upper_mitm_equals_bfs_distance(psl):

@@ -9,7 +9,7 @@ from gpnorm import (
     expand_to_primary,
     parse_presentation,
 )
-from gpnorm.presentation import _prime_power_parts
+from gpnorm.presentation import MAX_ORDER, _prime_power_parts
 
 
 def test_parse_roundtrip():
@@ -102,6 +102,14 @@ def test_prime_power_parts():
     assert _prime_power_parts(2) == [2]
     assert _prime_power_parts(12) == [4, 3]
     assert _prime_power_parts(360) == [8, 9, 5]
+    # trial division takes up to sqrt(n) steps; 2^40 itself is still factored
+    assert MAX_ORDER == 2**40
+    assert _prime_power_parts(2**40) == [2**40]
+    for order in (2**40 + 1, 2**61 - 1):
+        with pytest.raises(PresentationError, match="above the supported ceiling"):
+            _prime_power_parts(order)
+    with pytest.raises(PresentationError, match="above the supported ceiling"):
+        expand_to_primary(parse_presentation({"vertices": [{"id": "a", "factors": [6, 2**41]}]}))
 
 
 def test_expand_to_primary_c6():

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -98,6 +102,30 @@ def test_make_split_qm_validation():
         make_split_qm(pres({"a": 2, "b": 2}), ["a", "b"])  # empty right side
     with pytest.raises(PresentationError):
         make_split_qm(pres({"a": 2, "b": 2}), ["a"])  # both sides C_2
+
+
+CROSSING_EDGE = """
+from gpnorm import make_split_qm, named_presentation
+try:
+    make_split_qm(named_presentation("path_raag"), ["b"])
+except ValueError as exc:
+    print(exc)
+"""
+
+
+def test_crossing_edge_independent_of_hash_seed():
+    """Both edges of the path a-b-c cross the split {b} | {a, c}; the one
+    named is the first by vertex index under every hash seed."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    outs = [
+        subprocess.run(
+            [sys.executable, "-c", CROSSING_EDGE],
+            env=dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed),
+            capture_output=True, text=True, timeout=60,
+        ).stdout
+        for seed in ("1", "2")
+    ]
+    assert outs == ["not a free-product split: edge a-b joins the two sides\n"] * 2
 
 
 def test_split_qm_eval_psl():
