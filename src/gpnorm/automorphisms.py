@@ -200,7 +200,7 @@ def apply_gen(p: Presentation, g: AutGen, x: NormalWord, inverse: bool = False) 
         m = _factor_unit(p, g, inverse)
         out = [
             Syllable(v, e * m) if v == g.vertex else Syllable(v, e)
-            for v, e in x.syllables
+            for v, e in x
         ]
         return normal_form(p, out)
     if g.kind == TRANSVECTION:
@@ -209,9 +209,9 @@ def apply_gen(p: Presentation, g: AutGen, x: NormalWord, inverse: bool = False) 
             q = -q
         img = normal_form(p, [Syllable(g.vertex, 1), Syllable(g.target, q)])
         out: list[Syllable] = []
-        for v, e in x.syllables:
+        for v, e in x:
             if v == g.vertex:
-                out.extend(power(p, img, e).syllables)
+                out.extend(power(p, img, e))
             else:
                 out.append(Syllable(v, e))
         return normal_form(p, out)
@@ -219,7 +219,7 @@ def apply_gen(p: Presentation, g: AutGen, x: NormalWord, inverse: bool = False) 
         s = -1 if inverse else 1
         K = set(g.component)
         out = []
-        for v, e in x.syllables:
+        for v, e in x:
             if v in K:
                 out.append(Syllable(g.vertex, s))
                 out.append(Syllable(v, e))
@@ -231,7 +231,7 @@ def apply_gen(p: Presentation, g: AutGen, x: NormalWord, inverse: bool = False) 
         perm = dict(g.permutation)
         if inverse:
             perm = {b: a for a, b in perm.items()}
-        return normal_form(p, [Syllable(perm[v], e) for v, e in x.syllables])
+        return normal_form(p, [Syllable(perm[v], e) for v, e in x])
     raise ValueError(f"unknown generator kind {g.kind!r}")
 
 
@@ -245,7 +245,7 @@ class OrbitSet:
     length_cap: int
 
     def sorted_elements(self) -> list[NormalWord]:
-        return sorted(self.elements, key=lambda w: (exponent_weight(w), w.syllables))
+        return sorted(self.elements, key=lambda w: (exponent_weight(w), w))
 
 
 def orbit(
@@ -265,8 +265,8 @@ def orbit(
     if depth < 0:
         raise ValueError("depth must be >= 0")
     start = [normal_form(p, s) for s in seeds]
-    elements: set[NormalWord] = {s for s in start if exponent_weight(s) <= length_cap}
-    frontier = sorted(elements, key=lambda w: (exponent_weight(w), w.syllables))
+    frontier = [s for s in dict.fromkeys(start) if exponent_weight(s) <= length_cap]
+    elements: set[NormalWord] = set(frontier)
     exhausted = not frontier
     depth_used = 0
     for _ in range(depth):
@@ -283,5 +283,5 @@ def orbit(
             exhausted = True
             break
         depth_used += 1
-        frontier = sorted(new, key=lambda w: (exponent_weight(w), w.syllables))
+        frontier = new
     return OrbitSet(frozenset(elements), exhausted, depth_used, length_cap)

@@ -26,7 +26,6 @@ else is flagged OTHER.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -81,7 +80,6 @@ def transvections(p: Presentation) -> list[tuple[str, str]]:
     """
     ids, orders = p.vertex_ids, p._orders
     stars = [mask | 1 << i for i, mask in enumerate(p._adj_mask)]
-    prime = functools.cache(lambda k: _prime_of(p, ids[k]))
     out = []
     for i, v in enumerate(ids):
         infinite = orders[i] is None
@@ -89,7 +87,7 @@ def transvections(p: Presentation) -> list[tuple[str, str]]:
         for j, w in enumerate(ids):
             if i == j or dominated & ~stars[j]:
                 continue
-            if infinite or (orders[j] is not None and prime(i) == prime(j)):
+            if infinite or (orders[j] is not None and _prime_of(p, v) == _prime_of(p, w)):
                 out.append((v, w))
     return out
 
@@ -155,14 +153,12 @@ def tau_structure(p: Presentation) -> TauStructure:
         if orders[0] is None:
             if any(o is not None for o in orders):
                 raise PresentationError(f"mixed class {cls}: infinite and finite orders")
-            pairs = [(a, b) for i, a in enumerate(cls) for b in cls[i + 1 :]]
-            commuting = [p.has_edge(a, b) for a, b in pairs]
-            if pairs and any(commuting) != all(commuting):
-                raise PresentationError(f"class {cls}: commutation not class-constant")
-            if not pairs or all(commuting):
+            if p.is_clique(cls):
                 types.append(ClassType(FREE_ABELIAN, rank=len(cls)))
-            else:
+            elif len(p.components(cls)) == len(cls):  # no edge inside
                 types.append(ClassType(FREE, rank=len(cls)))
+            else:
+                raise PresentationError(f"class {cls}: commutation not class-constant")
         else:
             primes = {_prime_of(p, v) for v in cls}
             if None in primes or len(primes) != 1:

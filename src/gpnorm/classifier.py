@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from . import classes as cl
 from .automorphisms import TRANSVECTION, AutGen
-from .presentation import Presentation, PresentationError, _components
+from .presentation import Presentation, PresentationError
 from .quasimorphisms import (
     OddFunction,
     SplitQM,
@@ -216,10 +216,10 @@ def _classify(p: Presentation, trace: list[str]) -> Verdict:
     pml = p.sub(ML)
     trace.append(f"free product W_M * W_L inside lower cone {{{','.join(ML)}}}")
     if mtype.kind == cl.FREE:
-        cert = _free_citation(p, M, _dedupe_chain([ML, M]))
+        cert = _free_citation(p, M, (ML, M))
         return Verdict(False, cert, tuple(trace + ["retract to free class M"]))
     if mtype.kind == cl.FREE_ABELIAN and mtype.rank == 1:
-        cert = _homomorphism(p, M[0], _dedupe_chain([ML, M]))
+        cert = _homomorphism(p, M[0], (ML, M))
         return Verdict(False, cert, tuple(trace + ["retract to Z class M"]))
 
     m_two = _is_elementary_two(pml, set(M))
@@ -392,7 +392,7 @@ def _odd_function_faults(p: Presentation, sigma: OddFunction, side: set[str]):
     if len(values) != len(sigma.table):
         yield "split-odd-support", "repeated entry"
     for w, val in sigma.table:
-        if not w or any(v not in side for v, _ in w.syllables):
+        if not w or any(v not in side for v, _ in w):
             yield "split-odd-support", f"entry {word_literal(w) or 'e'} not in W_side - e"
         if values.get(invert(p, w)) != -val:
             yield "split-odd-symmetry", (
@@ -400,7 +400,7 @@ def _odd_function_faults(p: Presentation, sigma: OddFunction, side: set[str]):
             )
     base = sigma.power_base
     if base is not None:
-        vs = [v for v, _ in base.syllables]
+        vs = [v for v, _ in base]
         infinite = len(vs) == 1 and p.order(vs[0]) is None
         dihedral = len(vs) == 2 and p.order(vs[0]) == p.order(vs[1]) == 2 and not p.has_edge(*vs)
         if not (set(vs) <= side and (infinite or dihedral)):
@@ -503,7 +503,6 @@ def verify_certificate(p: Presentation, verdict: Verdict) -> Report:
         return rep
     y = retract(p, final.vertex_ids, cert.witness)
     rep.add("witness-nontrivial", bool(y), word_literal(cert.witness))
-    comps = _components(final.vertex_ids, {v: final.adjacent(v) for v in final.vertex_ids})
 
     if cert.kind == HOMOMORPHISM:
         ok = (
@@ -514,6 +513,7 @@ def verify_certificate(p: Presentation, verdict: Verdict) -> Report:
         rep.add("homomorphism-endpoint", ok, f"target {cert.target_vertex}")
         return rep
 
+    comps = final.components()
     if cert.kind == CITATION:
         if cert.citation == CITE_FREE_PRIMITIVES:
             ok = (

@@ -89,6 +89,16 @@ def _orbit_for(p: Presentation, word: Callable[[str], NormalWord], ns: argparse.
     return orbit(p, seeds, gens, ns.orbit_depth, ns.len_cap)
 
 
+def _custom_orbit(ns: argparse.Namespace) -> bool:
+    """True when --gen or --seed-word replaces the Aut0 orbit of the
+    vertices; then a stderr note says that upper bounds another norm."""
+    custom = bool(ns.gen or ns.seed_word)
+    if custom:
+        print("note: --gen or --seed-word replaces the Aut0 orbit, so upper bounds "
+              "a different norm than lower", file=sys.stderr)
+    return custom
+
+
 def _load_verdict(p: Presentation, path: str) -> classifier.Verdict:
     """A verdict file, or a bare certificate read as the verdict its kind
     implies.  A file of the wrong shape raises ValueError naming it."""
@@ -119,10 +129,10 @@ def _verified_cert(p: Presentation, path: str) -> classifier.Certificate | None:
 def cmd_classify(ns: argparse.Namespace) -> int:
     p = _load(ns.graph)
     verdict = classifier.classify(p)
-    obj = classifier.verdict_to_obj(verdict)
+    text = json.dumps(classifier.verdict_to_obj(verdict), indent=2, sort_keys=True)
     if ns.out:
-        Path(ns.out).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
-    _emit(obj)
+        Path(ns.out).write_text(text + "\n")
+    print(text)
     return 0
 
 
@@ -148,18 +158,21 @@ def cmd_norm(ns: argparse.Namespace) -> int:
             lower = norm_lower(p, x, cert)
         except ValueError as exc:
             print(f"note: certificate gives no lower bound: {exc}", file=sys.stderr)
+    params = {
+        "orbit_depth": ns.orbit_depth,
+        "len_cap": ns.len_cap,
+        "radius": ns.radius,
+        "orbit_size": len(orb.elements),
+        "orbit_exhausted": orb.frontier_exhausted,
+    }
+    if _custom_orbit(ns):
+        params["custom_orbit"] = True
     _emit(
         {
             "word": word_literal(x),
             "lower": str(lower),
             "upper": upper,
-            "params": {
-                "orbit_depth": ns.orbit_depth,
-                "len_cap": ns.len_cap,
-                "radius": ns.radius,
-                "orbit_size": len(orb.elements),
-                "orbit_exhausted": orb.frontier_exhausted,
-            },
+            "params": params,
         }
     )
     return 0
@@ -217,6 +230,7 @@ def cmd_distortion(ns: argparse.Namespace) -> int:
             )
     orb = _orbit_for(p, word, ns)
     rows = distortion_table(p, x, cert, ns.nmax, orb, ns.radius)
+    _custom_orbit(ns)
     print("n,lower,upper")
     for n, lo, up in rows:
         print(f"{n},{lo!s},{'' if up is None else up}")

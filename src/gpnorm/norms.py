@@ -135,7 +135,7 @@ def norm_lower(p: Presentation, x: NormalWord, cert) -> Fraction:
     if kind == HOMOMORPHISM:
         if len(cur.vertices) != 1 or cur.vertices[0].order is not None:
             raise ValueError("homomorphism certificate must end at a single Z vertex")
-        k = y.syllables[0].exponent if y else 0
+        k = y[0].exponent if y else 0
         return Fraction(abs(k))  # |qbar| / (B + D) with B = 1, D = 0
     if kind == SPLIT_QM:
         qm = cert.split_qm

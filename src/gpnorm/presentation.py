@@ -15,6 +15,7 @@ is primary (prime-power order) or infinite cyclic.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -56,23 +57,23 @@ class VertexSpec:
 class Presentation:
     """Immutable validated graph presentation.
 
-    Not a dataclass because adjacency sets and bitmasks are precomputed
-    once; treat instances as values.
+    The graph is held once, as one adjacency bitmask per vertex index: bit j
+    of ``_adj_mask[i]`` is set iff vertices i and j commute.  Edges, links,
+    stars, cliques and components are all read off the masks.  Not a
+    dataclass because the masks are precomputed once; treat instances as
+    values.
     """
 
     def __init__(self, vertices: Sequence[VertexSpec], edges: Iterable[tuple[str, str]]):
         self.vertices: tuple[VertexSpec, ...] = tuple(vertices)
-        self._index = {v.id: i for i, v in enumerate(self.vertices)}
+        self.vertex_ids: tuple[str, ...] = tuple(v.id for v in self.vertices)
+        self._index = {v: i for i, v in enumerate(self.vertex_ids)}
         if len(self._index) != len(self.vertices):
             seen: set[str] = set()
-            for v in self.vertices:
-                if v.id in seen:
-                    raise PresentationError(f"duplicate vertex id {v.id!r}")
-                seen.add(v.id)
-        edge_set: set[tuple[str, str]] = set()
-        adj: dict[str, set[str]] = {v.id: set() for v in self.vertices}
-        # one adjacency bitmask per vertex: bit j of masks[i] is set iff
-        # vertices i and j commute
+            for v in self.vertex_ids:
+                if v in seen:
+                    raise PresentationError(f"duplicate vertex id {v!r}")
+                seen.add(v)
         masks = [0] * len(self.vertices)
         index = self._index
         for a, b in edges:
@@ -83,24 +84,15 @@ class Presentation:
             if a == b:
                 raise PresentationError(f"loop edge at {a!r}")
             i, j = index[a], index[b]
-            if i > j:
-                a, b = b, a
-            edge_set.add((a, b))
-            adj[a].add(b)
-            adj[b].add(a)
             masks[i] |= 1 << j
             masks[j] |= 1 << i
-        self.edges: frozenset[tuple[str, str]] = frozenset(edge_set)
-        self._adj = {k: frozenset(s) for k, s in adj.items()}
         # orders and bitmasks by vertex index, read by words.normal_form
         self._orders = tuple([v.order for v in self.vertices])
         self._adj_mask = tuple(masks)
+        # each edge once, as (earlier, later) in declaration order
+        self.edges: tuple[tuple[str, str], ...] = self._pairs(complement=False)
 
     # -- basic queries ----------------------------------------------------
-
-    @property
-    def vertex_ids(self) -> tuple[str, ...]:
-        return tuple(v.id for v in self.vertices)
 
     def index(self, v: str) -> int:
         try:
@@ -114,25 +106,34 @@ class Presentation:
     def order(self, v: str) -> int | None:
         return self.spec(v).order
 
-    def adjacent(self, v: str) -> frozenset[str]:
-        self.index(v)
-        return self._adj[v]
-
-    def star(self, v: str) -> frozenset[str]:
-        return self.adjacent(v) | {v}
+    def _mask(self, X: Iterable[str]) -> int:
+        mask = 0
+        for v in X:
+            mask |= 1 << self.index(v)
+        return mask
 
     def link(self, v: str) -> frozenset[str]:
-        return self.adjacent(v)
+        mask = self._adj_mask[self.index(v)]
+        return frozenset(w for j, w in enumerate(self.vertex_ids) if mask >> j & 1)
+
+    def star(self, v: str) -> frozenset[str]:
+        return self.link(v) | {v}
 
     def has_edge(self, a: str, b: str) -> bool:
-        return b in self.adjacent(a)
+        return self._adj_mask[self.index(a)] >> self.index(b) & 1 == 1
+
+    def is_clique(self, X: Iterable[str]) -> bool:
+        """True iff every two distinct vertices of X commute."""
+        mask = self._mask(X)
+        return all(not mask & ~(self._adj_mask[i] | 1 << i)
+                   for i in range(len(self.vertices)) if mask >> i & 1)
 
     def is_primary(self) -> bool:
         """True when every vertex is prime-power or infinite (no factors)."""
         for v in self.vertices:
             if v.factors is not None:
                 return False
-            if v.order is not None and len(_prime_power_parts(v.order)) != 1:
+            if v.order is not None and len(_factorization(v.order)) != 1:
                 return False
         return True
 
@@ -147,21 +148,42 @@ class Presentation:
         edges = [(a, b) for a, b in self.edges if a in keep and b in keep]
         return Presentation(verts, edges)
 
+    def components(
+        self, X: Iterable[str] | None = None, complement: bool = False
+    ) -> tuple[tuple[str, ...], ...]:
+        """Connected components of the subgraph of Gamma (or of its
+        complement) induced on X, all vertices by default.  Each component
+        is sorted by declaration index; components are ordered by least
+        member."""
+        ids, adj = self.vertex_ids, self._adj_mask
+        left = (1 << len(ids)) - 1 if X is None else self._mask(X)
+        comps = []
+        while left:
+            comp = grow = left & -left  # the least vertex left
+            while grow:
+                i = grow.bit_length() - 1
+                grow ^= 1 << i
+                new = (~adj[i] if complement else adj[i]) & left & ~comp
+                comp |= new
+                grow |= new
+            left &= ~comp
+            comps.append(tuple(v for i, v in enumerate(ids) if comp >> i & 1))
+        return tuple(comps)
+
     def complement_components(self) -> tuple[tuple[str, ...], ...]:
-        """Connected components of the complement graph, each sorted by
-        declaration index; components ordered by least member."""
-        ids = self.vertex_ids
-        comp_adj = {
-            v: [w for w in ids if w != v and not self.has_edge(v, w)] for v in ids
-        }
-        return _components(ids, comp_adj)
+        """Connected components of the complement graph."""
+        return self.components(complement=True)
 
     def components_minus_star(self, v: str) -> tuple[tuple[str, ...], ...]:
         """Connected components of the graph with St(v) removed."""
-        star = self.star(v)
-        ids = [w for w in self.vertex_ids if w not in star]
-        adj = {w: [u for u in self.adjacent(w) if u in ids] for w in ids}
-        return _components(tuple(ids), adj)
+        return self.components(set(self.vertex_ids) - self.star(v))
+
+    def _pairs(self, complement: bool) -> tuple[tuple[str, str], ...]:
+        """The edges of Gamma (or of its complement) as (earlier, later)
+        vertex pairs, in declaration order."""
+        ids, adj = self.vertex_ids, self._adj_mask
+        return tuple((a, ids[j]) for i, a in enumerate(ids)
+                     for j in range(i + 1, len(ids)) if (adj[i] >> j & 1) != complement)
 
     # -- value semantics --------------------------------------------------
 
@@ -178,7 +200,7 @@ class Presentation:
         vs = ",".join(
             f"{v.id}:{'inf' if v.order is None else v.order}" for v in self.vertices
         )
-        es = ",".join(f"{a}-{b}" for a, b in sorted(self.edges))
+        es = ",".join(f"{a}-{b}" for a, b in self.edges)
         return f"Presentation({vs}; {es})"
 
     # -- serialization ----------------------------------------------------
@@ -192,8 +214,7 @@ class Presentation:
                 )
             else:
                 verts.append({"id": v.id, "order": "inf" if v.order is None else v.order})
-        edges = sorted(self.edges, key=lambda e: (self.index(e[0]), self.index(e[1])))
-        return {"vertices": verts, "edges": [list(e) for e in edges]}
+        return {"vertices": verts, "edges": [list(e) for e in self.edges]}
 
     def to_dot(self, complement: bool = False) -> str:
         name = "complement" if complement else "gamma"
@@ -201,37 +222,10 @@ class Presentation:
         for v in self.vertices:
             label = f"{v.id}:{'inf' if v.order is None else v.order}"
             lines.append(f'  "{v.id}" [label="{label}"];')
-        if complement:
-            ids = self.vertex_ids
-            for i, a in enumerate(ids):
-                for b in ids[i + 1 :]:
-                    if not self.has_edge(a, b):
-                        lines.append(f'  "{a}" -- "{b}";')
-        else:
-            for a, b in sorted(self.edges, key=lambda e: (self.index(e[0]), self.index(e[1]))):
-                lines.append(f'  "{a}" -- "{b}";')
+        for a, b in self._pairs(complement):
+            lines.append(f'  "{a}" -- "{b}";')
         lines.append("}")
         return "\n".join(lines) + "\n"
-
-
-def _components(ids: tuple[str, ...], adj: dict) -> tuple[tuple[str, ...], ...]:
-    pos = {v: i for i, v in enumerate(ids)}
-    seen: set[str] = set()
-    comps = []
-    for v in ids:
-        if v in seen:
-            continue
-        stack, comp = [v], []
-        seen.add(v)
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(tuple(sorted(comp, key=pos.__getitem__)))
-    return tuple(comps)
 
 
 def _order_from_json(value) -> int | None:
@@ -291,9 +285,11 @@ def parse_presentation(source: str | dict) -> Presentation:
 MAX_ORDER = 2**40
 
 
-def _factorization(n: int) -> list[tuple[int, int]]:
+@functools.cache
+def _factorization(n: int) -> tuple[tuple[int, int], ...]:
     """(prime, prime-power part) pairs of n by trial division, sorted by
-    prime.  Orders above ``MAX_ORDER`` are refused."""
+    prime.  Orders above ``MAX_ORDER`` are refused.  Cached, so the result
+    is a tuple."""
     if n > MAX_ORDER:
         raise PresentationError(f"order {n} is above the supported ceiling 2^40")
     parts = []
@@ -309,7 +305,7 @@ def _factorization(n: int) -> list[tuple[int, int]]:
         p += 1
     if m > 1:
         parts.append((m, m))
-    return parts
+    return tuple(parts)
 
 
 def _prime_power_parts(n: int) -> list[int]:

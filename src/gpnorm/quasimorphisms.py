@@ -79,10 +79,10 @@ def _power_of(p: Presentation, base: NormalWord, x: NormalWord) -> int | None:
     or a product of two non-commuting involutions."""
     if not x:
         return 0
-    if len(base) == 1 and p.order(base.syllables[0].vertex) is None:
-        if len(x) == 1 and x.syllables[0].vertex == base.syllables[0].vertex:
-            e = x.syllables[0].exponent
-            b = base.syllables[0].exponent
+    if len(base) == 1 and p.order(base[0].vertex) is None:
+        if len(x) == 1 and x[0].vertex == base[0].vertex:
+            e = x[0].exponent
+            b = base[0].exponent
             if e % b == 0:
                 return e // b
         return None
@@ -91,7 +91,7 @@ def _power_of(p: Presentation, base: NormalWord, x: NormalWord) -> int | None:
     if len(x) % len(base) != 0:
         return None
     k = len(x) // len(base)
-    if x.syllables[0].vertex != base.syllables[0].vertex:
+    if x[0].vertex != base[0].vertex:
         k = -k
     return k if power(p, base, k) == x else None
 
@@ -99,15 +99,7 @@ def _power_of(p: Presentation, base: NormalWord, x: NormalWord) -> int | None:
 def _is_elementary_two(p: Presentation, side: set[str]) -> bool:
     """True iff the standard subgroup on `side` is C_2^k: all orders two and
     the induced subgraph complete."""
-    for v in side:
-        if p.order(v) != 2:
-            return False
-    vs = sorted(side, key=p.index)
-    for i, a in enumerate(vs):
-        for b in vs[i + 1 :]:
-            if not p.has_edge(a, b):
-                return False
-    return True
+    return all(p.order(v) == 2 for v in side) and p.is_clique(side)
 
 
 def default_odd_function(p: Presentation, side: Iterable[str]) -> OddFunction:
@@ -190,7 +182,7 @@ def make_split_qm(p: Presentation, M: Iterable[str]) -> SplitQM:
 def _sigma_sum(p: Presentation, q: SplitQM, runs) -> Fraction:
     """Sum of sigma over the (side, syllables) blocks ``runs``."""
     sigma = {"L": q.sigma_left, "R": q.sigma_right}
-    return sum((n * sigma[side].evaluate(p, NormalWord(syls))
+    return sum((n * sigma[side].evaluate(p, syls)
                 for (side, syls), n in Counter(runs).items()), Fraction(0))
 
 
@@ -221,7 +213,7 @@ def homogenize(
     runs = _free_runs(p, q.left, x)
     i, j = 0, len(runs) - 1  # the core is runs[i:j + 1]
     while i < j and runs[i][0] == runs[j][0]:
-        junction = multiply(p, NormalWord(runs[j][1]), NormalWord(runs[i][1]))
+        junction = multiply(p, runs[j][1], runs[i][1])
         if junction:
             break
         i, j = i + 1, j - 1
@@ -230,7 +222,7 @@ def homogenize(
     if (j - i) % 2:  # an even number of blocks
         return _sigma_sum(p, q, runs[i:j + 1]), Fraction(0)
     # odd count: the end blocks share a side and the loop left their junction
-    return _sigma_sum(p, q, runs[i + 1:j] + [(runs[i][0], junction.syllables)]), Fraction(0)
+    return _sigma_sum(p, q, runs[i + 1:j] + [(runs[i][0], junction)]), Fraction(0)
 
 
 # -- serialization ---------------------------------------------------------

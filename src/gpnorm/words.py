@@ -7,15 +7,16 @@ such shuffles (Green's normal form, see Hermiller-Meier, J. Algebra 171,
 1995).  The canonical form is the lexicographically least reduced
 representative, ordering syllables by (vertex declaration index, exponent):
 the Anisimov-Knuth lexicographic normal form of the trace.  Two canonical
-words are equal as group elements iff they are identical, so NormalWord is
-hashable and usable as a set/dict key in orbit and ball enumeration.
+words are equal as group elements iff they are identical, so a NormalWord,
+the tuple of its syllables, is hashable and usable as a set/dict key in orbit
+and ball enumeration.
 
 ``normal_form`` and ``multiply`` share one routine, the Anisimov-Knuth
 construction of the lexicographic normal form (Diekert-Rozenberg, The Book
 of Traces, 1995).  It works on vertex indices with the orders and adjacency
-bitmasks that ``Presentation`` precomputes, and holds a canonical word as
-parallel vertex-index and syllable lists.  ``normal_form`` starts it from the
-empty word, ``multiply`` from x.  It adds syllables one at a time; a new
+bitmasks that ``Presentation`` holds as its graph, and holds a canonical word
+as parallel vertex-index and syllable lists.  ``normal_form`` starts it from
+the empty word, ``multiply`` from x.  It adds syllables one at a time; a new
 syllable v^e, its exponent reduced mod the order of v, scans back over the
 trailing entries that commute with v:
 
@@ -58,7 +59,6 @@ are arbitrary nonzero integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterable, NamedTuple
 
@@ -70,20 +70,15 @@ class Syllable(NamedTuple):
     exponent: int
 
 
-@dataclass(frozen=True)
-class NormalWord:
-    """Canonical representative of a group element."""
+class NormalWord(tuple):
+    """Canonical representative of a group element: the tuple of its
+    syllables, so it equals a plain tuple of the same syllables."""
 
-    syllables: tuple[Syllable, ...] = ()
+    __slots__ = ()
 
-    def __len__(self) -> int:
-        return len(self.syllables)
-
-    def __bool__(self) -> bool:
-        return bool(self.syllables)
-
-    def __iter__(self):
-        return iter(self.syllables)
+    @property
+    def syllables(self) -> tuple[Syllable, ...]:
+        return self
 
     def __repr__(self):
         return f"<{word_literal(self) or 'e'}>"
@@ -94,17 +89,17 @@ IDENTITY = NormalWord()
 
 def normal_form(p: Presentation, word) -> NormalWord:
     """Canonical form of a raw syllable sequence (or NormalWord)."""
-    return _insert(p, (), word.syllables if isinstance(word, NormalWord) else word)
+    return _insert(p, (), word)
 
 
 def multiply(p: Presentation, x: NormalWord, y: NormalWord) -> NormalWord:
     """Canonical form of x*y for canonical x and y: the syllables of y are
     added to those of x one at a time, each step keeping the word canonical."""
-    if not x.syllables or not y.syllables:
-        for v, _ in x.syllables or y.syllables:
+    if not x or not y:
+        for v, _ in x or y:
             p.index(v)  # raises on a vertex not in p
         return x or y
-    return _insert(p, x.syllables, y.syllables)
+    return _insert(p, x, y)
 
 
 def _insert(p: Presentation, xs: tuple[Syllable, ...], word) -> NormalWord:
@@ -146,11 +141,11 @@ def _insert(p: Presentation, xs: tuple[Syllable, ...], word) -> NormalWord:
             vs.insert(k, v)
             ss.insert(k, syl if type(syl) is Syllable and syl.exponent == e
                       else made.get((name, e)) or made.setdefault((name, e), Syllable(name, e)))
-    return NormalWord(tuple(ss))
+    return NormalWord(ss)
 
 
 def invert(p: Presentation, x: NormalWord) -> NormalWord:
-    return normal_form(p, [(v, -e) for v, e in reversed(x.syllables)])
+    return normal_form(p, [(v, -e) for v, e in reversed(x)])
 
 
 def power(p: Presentation, x: NormalWord, n: int) -> NormalWord:
@@ -180,12 +175,12 @@ def retract(p: Presentation, X: Iterable[str], x: NormalWord) -> NormalWord:
     keep = dict.fromkeys(X)  # ordered: an unknown vertex is named in input order
     for v in keep:
         p.index(v)
-    return normal_form(p, [s for s in x.syllables if s.vertex in keep])
+    return normal_form(p, [s for s in x if s.vertex in keep])
 
 
 def exponent_weight(x: NormalWord) -> int:
     """Total exponent mass: sum of |e| over syllables (stored exponents)."""
-    return sum(abs(e) for _, e in x.syllables)
+    return sum(abs(e) for _, e in x)
 
 
 def _free_runs(p: Presentation, M: Iterable[str], x: NormalWord) -> list[tuple[str, tuple]]:
@@ -199,15 +194,14 @@ def _free_runs(p: Presentation, M: Iterable[str], x: NormalWord) -> list[tuple[s
     left = dict.fromkeys(M)  # ordered: an unknown vertex is named in input order
     for v in left:
         p.index(v)
-    # by vertex index, so the edge named does not depend on the hash seed
-    for a, b in sorted(p.edges, key=lambda e: (p.index(e[0]), p.index(e[1]))):
+    for a, b in p.edges:
         if (a in left) != (b in left):
             raise PresentationError(
                 f"not a free-product split: edge {a}-{b} joins the two sides"
             )
     side_of = {v: "L" if v in left else "R" for v in p._index}
     try:
-        runs = groupby(x.syllables, lambda s: side_of[s[0]])
+        runs = groupby(x, lambda s: side_of[s[0]])
         return [(side, tuple(run)) for side, run in runs]
     except KeyError as exc:
         p.index(exc.args[0])
@@ -238,4 +232,4 @@ def parse_word(p: Presentation, text: str) -> NormalWord:
 
 
 def word_literal(x: NormalWord) -> str:
-    return " ".join(v if e == 1 else f"{v}^{e}" for v, e in x.syllables)
+    return " ".join(v if e == 1 else f"{v}^{e}" for v, e in x)

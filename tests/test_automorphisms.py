@@ -8,10 +8,12 @@ from gpnorm import (
     apply_gen,
     aut0_generators,
     classify,
+    expand_to_primary,
     generator,
     invert,
     make_generator,
     multiply,
+    named_presentation,
     orbit,
     parse_generator,
     parse_presentation,
@@ -26,6 +28,7 @@ from gpnorm.automorphisms import (
     _unit_group_generators,
     transvection_exponent,
 )
+from gpnorm.corpus import NAMED
 from gpnorm.presentation import PresentationError
 
 
@@ -218,6 +221,15 @@ def test_orbit_deterministic_order():
     o2 = orbit(p, [generator(p, "a")], aut0_generators(p), 4, 9)
     assert o1.sorted_elements() == o2.sorted_elements()
     assert IDENTITY not in o1.elements
+
+
+def test_orbit_independent_of_generator_order():
+    for name in sorted(NAMED):
+        p = expand_to_primary(named_presentation(name))
+        seeds = [generator(p, v) for v in p.vertex_ids]
+        gens = aut0_generators(p)
+        want = orbit(p, seeds, gens, 3, 8)
+        assert orbit(p, seeds[::-1], gens[::-1], 3, 8) == want, name
 
 
 def test_transvection_on_long_power(path_raag):

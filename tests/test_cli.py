@@ -136,6 +136,33 @@ def test_norm_with_custom_generators(corpus_dir, capsys):
     assert json.loads(out)["upper"] == 1  # a b^4 is itself an orbit element
 
 
+def test_custom_orbit_is_labelled(corpus_dir, tmp_path, capsys):
+    """With --gen or --seed-word the upper bound is over another orbit, so it
+    bounds another norm: norm marks its params and both commands write one
+    stderr note; the default orbit gets neither."""
+    graph = str(corpus_dir / "psl.json")
+    cert = tmp_path / "psl.v"
+    assert run(capsys, "classify", graph, "--out", str(cert))[0] == 0
+    w = " ".join(["a b"] * 18)
+    code, out, err = run(capsys, "norm", graph, w, "--cert", str(cert), "--seed-word", w,
+                         "--orbit-depth", "0", "--len-cap", "40", "--radius", "1")
+    obj = json.loads(out)
+    assert code == 0 and (obj["lower"], obj["upper"]) == ("3", 1)
+    assert obj["params"]["custom_orbit"] is True
+    assert err.count("\n") == 1 and "different norm" in err
+    code, out, err = run(capsys, "norm", graph, "a b", "--radius", "1")
+    assert code == 0 and "custom_orbit" not in json.loads(out)["params"] and err == ""
+
+
+def test_custom_orbit_note_on_distortion(corpus_dir, capsys):
+    argv = ["distortion", str(corpus_dir / "z2.json"), "a b", "--nmax", "2", "--radius", "2"]
+    code, default, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    code, out, err = run(capsys, *argv, "--gen", "tv(a,b)")
+    assert code == 0 and out.splitlines()[0] == "n,lower,upper"
+    assert err.count("\n") == 1 and "different norm" in err
+
+
 def test_parser_is_built_once_and_keeps_no_values(corpus_dir, capsys):
     assert build_parser() is build_parser()
     argv = ["orbit", str(corpus_dir / "z2.json"), "--orbit-depth", "2", "--len-cap", "4",
@@ -250,19 +277,39 @@ TAMPERED = {
 
 @pytest.mark.parametrize("case", TAMPERED)
 def test_tampered_certificate_output_independent_of_hash_seed(corpus_dir, tmp_path, case):
-    """verify reads a tampered certificate to the same bytes under two hash
-    seeds: a non-nested chain and a split side outside the last step are
-    FAILs, and an unknown vertex is named in input order."""
+    """verify, norm --cert and distortion --cert read a tampered certificate
+    to the same bytes under two hash seeds: a non-nested chain and a split
+    side outside the last step are FAILs, and an unknown vertex is named in
+    input order."""
     field, value, want_code, want = TAMPERED[case]
     obj = verdict_to_obj(classify(named_presentation("c2c2c2")))
     cert = obj["certificate"]
     (cert if field == "chain" else cert["payload"])[field] = value
     path = tmp_path / "tampered.v"
     path.write_text(json.dumps(obj))
+    graph = str(corpus_dir / "c2c2c2.json")
+    for argv in (["verify", graph, str(path)],
+                 ["norm", graph, "a b", "--cert", str(path), "--radius", "1"],
+                 ["distortion", graph, "a b", "--cert", str(path), "--nmax", "2",
+                  "--radius", "1"]):
+        code, out, err = _under_hash_seeds(argv)
+        assert code == want_code, err
+        assert err.count("\n") <= 1 and "Traceback" not in err
+        if code == 1:
+            assert want in err
+        elif argv[0] == "verify":
+            failed = [c["name"] for c in json.loads(out)["checks"] if c["status"] == "FAIL"]
+            assert failed == [want]
+        else:
+            assert out == "" and f"certificate fails {want}:" in err
+
+
+def _under_hash_seeds(argv):
+    """(exit code, stdout, stderr) of the CLI, the same under PYTHONHASHSEED
+    1 and 2."""
     runs = [
         subprocess.run(
-            [sys.executable, "-m", "gpnorm.cli", "verify",
-             str(corpus_dir / "c2c2c2.json"), str(path)],
+            [sys.executable, "-m", "gpnorm.cli", *argv],
             env=dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=seed),
             capture_output=True, text=True, timeout=60,
         )
@@ -270,13 +317,13 @@ def test_tampered_certificate_output_independent_of_hash_seed(corpus_dir, tmp_pa
     ]
     outputs = [(r.returncode, r.stdout, r.stderr) for r in runs]
     assert outputs[0] == outputs[1]
-    code, out, err = outputs[0]
-    assert code == want_code, err
-    assert err.count("\n") <= 1 and "Traceback" not in err
-    if code == 2:
-        assert [c["name"] for c in json.loads(out)["checks"] if c["status"] == "FAIL"] == [want]
-    else:
-        assert want in err
+    return outputs[0]
+
+
+def test_classes_dot_independent_of_hash_seed(corpus_dir):
+    code, out, _ = _under_hash_seeds(
+        ["classes", str(corpus_dir / "path_raag.json"), "--format", "dot"])
+    assert code == 0 and 'graph complement {' in out
 
 
 def test_malformed_certificate_file_exits_1(corpus_dir, tmp_path, capsys):

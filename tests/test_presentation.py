@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -68,7 +69,50 @@ def test_sub_preserves_declaration_order():
     )
     q = p.sub(["d", "a", "c"])
     assert q.vertex_ids == ("a", "c", "d")
-    assert q.edges == frozenset({("c", "d")})
+    assert q.edges == (("c", "d"),)
+
+
+def test_edges_in_declaration_order_and_clique():
+    p = parse_presentation(
+        {
+            "vertices": [{"id": v, "order": 2} for v in "dcba"],
+            "edges": [["a", "b"], ["a", "d"], ["b", "c"], ["c", "d"], ["b", "d"]],
+        }
+    )
+    assert p.edges == (("d", "c"), ("d", "b"), ("d", "a"), ("c", "b"), ("b", "a"))
+    assert p.to_json_obj()["edges"] == [list(e) for e in p.edges]
+    assert p.is_clique(["b", "c", "d"]) and p.is_clique(["a"]) and p.is_clique([])
+    assert not p.is_clique(["a", "b", "c"])
+    with pytest.raises(PresentationError):
+        p.has_edge("a", "zzz")
+    with pytest.raises(PresentationError):
+        p.is_clique(["a", "zzz"])
+
+
+def test_components_match_a_pairwise_referee():
+    """components(X, complement) against a union of the vertex pairs that
+    has_edge (or its negation) joins, on random graphs."""
+    rng = random.Random(0)
+    for _ in range(200):
+        n = rng.randint(0, 7)
+        ids = [f"v{i}" for i in range(n)]
+        rng.shuffle(ids)
+        edges = [[a, b] for i, a in enumerate(ids) for b in ids[i + 1:] if rng.random() < 0.4]
+        p = parse_presentation({"vertices": [{"id": v, "order": 2} for v in ids],
+                                "edges": edges})
+        X = [v for v in ids if rng.random() < 0.7]
+        for complement in (False, True):
+            comp = {v: {v} for v in X}
+            for a in X:
+                for b in X:
+                    if a != b and p.has_edge(a, b) != complement and comp[a] is not comp[b]:
+                        merged = comp[a] | comp[b]
+                        for v in merged:
+                            comp[v] = merged
+            want = sorted({tuple(sorted(c, key=p.index)) for c in comp.values()},
+                          key=lambda c: p.index(c[0]))
+            assert p.components(X, complement) == tuple(want), (repr(p), X, complement)
+        assert p.components() == p.components(ids)
 
 
 def test_complement_components():

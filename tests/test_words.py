@@ -444,3 +444,5 @@ def test_retract_is_homomorphism(x, y):
 def test_hashable_equality(x):
     assert {x: 1}[normal_form(PATH, list(x.syllables))] == 1
     assert isinstance(x, NormalWord)
+    # a NormalWord is the tuple of its syllables
+    assert x.syllables is x and x == tuple(x) and {tuple(x): 1}[x] == 1
