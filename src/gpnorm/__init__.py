@@ -10,14 +10,12 @@ from .automorphisms import (
     OrbitSet,
     apply_gen,
     aut0_generators,
-    make_generator,
     orbit,
     parse_generator,
 )
 from .classes import (
     JoinDecomposition,
     TauStructure,
-    bounded_form_check,
     join_decomposition,
     lower_cone_violation,
     preorder,
@@ -67,8 +65,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AutGen", "OrbitSet", "apply_gen", "aut0_generators",
-    "make_generator", "orbit", "parse_generator",
-    "JoinDecomposition", "TauStructure", "bounded_form_check",
+    "orbit", "parse_generator",
+    "JoinDecomposition", "TauStructure",
     "join_decomposition", "lower_cone_violation",
     "preorder", "tau_structure",
     "Certificate", "Report", "Verdict", "classify", "verify_certificate",

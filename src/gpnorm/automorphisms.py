@@ -62,39 +62,57 @@ def transvection_exponent(p: Presentation, v: str, w: str) -> int:
     return max(1, nw // nv)
 
 
-def make_generator(p: Presentation, kind: str, **params) -> AutGen:
-    """Validated construction of an automorphism generator.
+def parse_generator(p: Presentation, text: str) -> AutGen:
+    """Parse and validate a generator literal.
 
-    Raises ValueError when the defining side condition fails: a transvection
-    without v <=_tau w, a factor exponent that is not a unit, a partial
-    conjugation whose set is not a component of Gamma - St(v), or a labelled
-    graph map that is not an order-preserving graph automorphism.
+    - ``factor(v,m)``: m is +-1 when v has infinite order, else a unit mod
+      the order of v (stored reduced mod the order);
+    - ``tv(v,w)``: v != w and v <=_tau w;
+    - ``pc(v,k)``: k lies in a component K of Gamma - St(v), and the
+      generator conjugates all of K by v;
+    - ``graph(a:b,b:a,...)``: a permutation of the vertices that preserves
+      orders and edges.
+
+    Raises ValueError naming the failed condition, PresentationError for an
+    unknown vertex.
     """
-    if kind == FACTOR:
-        v, m = params["vertex"], params["unit"]
+    text = text.strip()
+    if not (text.endswith(")") and "(" in text):
+        raise ValueError(f"bad generator literal {text!r}")
+    head, _, body = text[:-1].partition("(")
+    args = [a.strip() for a in body.split(",")] if body.strip() else []
+    if head in ("factor", "tv", "pc") and len(args) != 2:
+        raise ValueError(f"{head} needs 2 arguments: {text!r}")
+    if head == "factor":
+        v, m = args[0], int(args[1])
         n = p.order(v)
         if n is None:
             if m not in (1, -1):
                 raise ValueError(f"factor({v},{m}): infinite order needs m = +-1")
-        else:
-            if math.gcd(m, n) != 1:
-                raise ValueError(f"factor({v},{m}): gcd(m, {n}) != 1")
-            m %= n
-        return AutGen(FACTOR, vertex=v, unit=m)
-    if kind == TRANSVECTION:
-        v, w = params["vertex"], params["target"]
+            return AutGen(FACTOR, vertex=v, unit=m)
+        if math.gcd(m, n) != 1:
+            raise ValueError(f"factor({v},{m}): gcd(m, {n}) != 1")
+        return AutGen(FACTOR, vertex=v, unit=m % n)
+    if head == "tv":
+        v, w = args
         if v == w:
             raise ValueError("transvection needs v != w")
         if not cl.preorder(p, cl.LEQ_TAU, v, w):
             raise ValueError(f"tv({v},{w}): not v <=_tau w")
         return AutGen(TRANSVECTION, vertex=v, target=w)
-    if kind == PARTIAL_CONJ:
-        v, K = params["vertex"], tuple(sorted(params["component"], key=p.index))
-        if K not in p.components_minus_star(v):
-            raise ValueError(f"pc({v},{K}): not a component of Gamma - St({v})")
-        return AutGen(PARTIAL_CONJ, vertex=v, component=K)
-    if kind == LABELLED_GRAPH:
-        perm = dict(params["permutation"])
+    if head == "pc":
+        v, k = args
+        for K in p.components_minus_star(v):
+            if k in K:
+                return AutGen(PARTIAL_CONJ, vertex=v, component=K)
+        raise ValueError(f"pc({v},{k}): {k} not in any component of Gamma - St({v})")
+    if head == "graph":
+        perm = {}
+        for a in args:
+            x, sep, y = a.partition(":")
+            if not sep:
+                raise ValueError(f"graph entries must be v:w pairs: {text!r}")
+            perm[x.strip()] = y.strip()
         ids = p.vertex_ids
         if sorted(perm) != sorted(ids) or sorted(perm.values()) != sorted(ids):
             raise ValueError("graph map is not a permutation of the vertices")
@@ -105,42 +123,6 @@ def make_generator(p: Presentation, kind: str, **params) -> AutGen:
             if not p.has_edge(perm[a], perm[b]):
                 raise ValueError(f"graph map does not preserve edge {a}-{b}")
         return AutGen(LABELLED_GRAPH, permutation=tuple((v, perm[v]) for v in ids))
-    raise ValueError(f"unknown generator kind {kind!r}")
-
-
-def parse_generator(p: Presentation, text: str) -> AutGen:
-    """Parse the generator literal syntax: ``factor(v,m)``, ``tv(v,w)``,
-    ``pc(v,k)`` with k any vertex of the conjugated component, and
-    ``graph(a:b,b:a,...)``."""
-    text = text.strip()
-    if not (text.endswith(")") and "(" in text):
-        raise ValueError(f"bad generator literal {text!r}")
-    head, _, body = text[:-1].partition("(")
-    args = [a.strip() for a in body.split(",")] if body.strip() else []
-    if head == "factor":
-        if len(args) != 2:
-            raise ValueError(f"factor needs 2 arguments: {text!r}")
-        return make_generator(p, FACTOR, vertex=args[0], unit=int(args[1]))
-    if head == "tv":
-        if len(args) != 2:
-            raise ValueError(f"tv needs 2 arguments: {text!r}")
-        return make_generator(p, TRANSVECTION, vertex=args[0], target=args[1])
-    if head == "pc":
-        if len(args) != 2:
-            raise ValueError(f"pc needs 2 arguments: {text!r}")
-        v, k = args
-        for K in p.components_minus_star(v):
-            if k in K:
-                return make_generator(p, PARTIAL_CONJ, vertex=v, component=K)
-        raise ValueError(f"pc({v},{k}): {k} not in any component of Gamma - St({v})")
-    if head == "graph":
-        pairs = []
-        for a in args:
-            x, sep, y = a.partition(":")
-            if not sep:
-                raise ValueError(f"graph entries must be v:w pairs: {text!r}")
-            pairs.append((x.strip(), y.strip()))
-        return make_generator(p, LABELLED_GRAPH, permutation=pairs)
     raise ValueError(f"unknown generator family {head!r}")
 
 
@@ -187,17 +169,12 @@ def aut0_generators(p: Presentation) -> list[AutGen]:
     return gens
 
 
-def _factor_unit(p: Presentation, g: AutGen, inverse: bool) -> int:
-    n = p.order(g.vertex)
-    if n is None:
-        return g.unit  # +-1, self-inverse for -1
-    return pow(g.unit, -1, n) if inverse else g.unit
-
-
 def apply_gen(p: Presentation, g: AutGen, x: NormalWord, inverse: bool = False) -> NormalWord:
     """Image of x under one generator (or its inverse)."""
     if g.kind == FACTOR:
-        m = _factor_unit(p, g, inverse)
+        n = p.order(g.vertex)
+        # on an infinite vertex the unit is +-1, its own inverse
+        m = pow(g.unit, -1, n) if inverse and n is not None else g.unit
         out = [
             Syllable(v, e * m) if v == g.vertex else Syllable(v, e)
             for v, e in x

@@ -56,13 +56,16 @@ def _prime_of(p: Presentation, v: str) -> int | None:
 
 
 def preorder(p: Presentation, kind: str, v: str, w: str) -> bool:
-    """Truth value of v <= w / v <=_s w / v <=_tau w.  LEQ_TAU reads
-    transvections, so it expects a primary presentation."""
-    p.index(v), p.index(w)
+    """Truth value of v <= w / v <=_s w / v <=_tau w, read off the
+    adjacency bitmasks.  LEQ_TAU reads transvections, so it expects a
+    primary presentation."""
+    i, j = p.index(v), p.index(w)
+    adj = p._adj_mask
+    star_w = adj[j] | 1 << j
     if kind == LEQ:
-        return p.link(v) <= p.star(w)
+        return not adj[i] & ~star_w
     if kind == LEQ_S:
-        return p.star(v) <= p.star(w)
+        return not (adj[i] | 1 << i) & ~star_w
     if kind == LEQ_TAU:
         return v == w or (v, w) in transvections(p)
     raise ValueError(f"unknown preorder kind {kind!r}")
@@ -97,13 +100,10 @@ class ClassType:
     kind: str  # FREE_ABELIAN | FREE | FINITE_PRIMARY
     rank: int = 0        # for the two infinite kinds
     order: int = 0       # group order, finite kind only
-    prime: int = 0       # finite kind only
 
 
 @dataclass(frozen=True)
 class TauStructure:
-    vertices: tuple[str, ...]
-    leq_tau: frozenset[tuple[str, str]]
     classes: tuple[tuple[str, ...], ...]
     class_types: tuple[ClassType, ...]
     class_order: frozenset[tuple[int, int]]  # (i, j) means classes[i] <= classes[j]
@@ -166,19 +166,13 @@ def tau_structure(p: Presentation) -> TauStructure:
             total = 1
             for o in orders:
                 total *= o
-            types.append(ClassType(FINITE_PRIMARY, order=total, prime=primes.pop()))
+            types.append(ClassType(FINITE_PRIMARY, order=total))
     order = set()
     for i, ci in enumerate(classes):
         for j, cj in enumerate(classes):
             if (ci[0], cj[0]) in tau:
                 order.add((i, j))
-    return TauStructure(
-        vertices=ids,
-        leq_tau=frozenset(tau),
-        classes=tuple(classes),
-        class_types=tuple(types),
-        class_order=frozenset(order),
-    )
+    return TauStructure(tuple(classes), tuple(types), frozenset(order))
 
 
 def lower_cone_violation(p: Presentation, X: Iterable[str]) -> tuple[str, str] | None:
@@ -225,12 +219,17 @@ class JoinDecomposition:
     def has_other(self) -> bool:
         return any(shape == OTHER for _, shape in self.components)
 
+    @property
+    def bounded_form(self) -> bool:
+        """W = Z^n x Dinf^m x F with n != 1 and F finite."""
+        return not self.has_other and self.n != 1
+
 
 def join_decomposition(p: Presentation) -> JoinDecomposition:
     """Classify the complement-graph components of a primary presentation."""
     if not p.is_primary():
         raise PresentationError("join decomposition requires a primary presentation")
-    comps = p.complement_components()
+    comps = p.components(complement=True)
     out = []
     n = m = 0
     finite: list[str] = []
@@ -251,23 +250,20 @@ def join_decomposition(p: Presentation) -> JoinDecomposition:
     return JoinDecomposition(tuple(out), n, m, tuple(finite))
 
 
-def bounded_form_check(p: Presentation) -> bool:
-    """Graph-theoretic test for W = Z^n x Dinf^m x F with n != 1, F finite."""
-    jd = join_decomposition(p)
-    return not jd.has_other and jd.n != 1
-
-
 def classes_json_obj(p: Presentation) -> dict:
-    """JSON-friendly dump of the tau structure for the `classes` CLI."""
+    """JSON-friendly dump of the tau structure for the `classes` CLI, with
+    its Hasse diagram and the complement graph as DOT strings."""
     ts = tau_structure(p)
+    ids = p.vertex_ids
     def mat(kind):
-        return {v: [w for w in ts.vertices if preorder(p, kind, v, w)] for v in ts.vertices}
+        return {v: [w for w in ids if preorder(p, kind, v, w)] for v in ids}
+    tau = set(transvections(p))
     jd = join_decomposition(p)
     return {
-        "vertices": list(ts.vertices),
+        "vertices": list(ids),
         "leq": mat(LEQ),
         "leq_s": mat(LEQ_S),
-        "leq_tau": {v: [w for w in ts.vertices if (v, w) in ts.leq_tau] for v in ts.vertices},
+        "leq_tau": {v: [w for w in ids if v == w or (v, w) in tau] for v in ids},
         "classes": [
             {
                 "vertices": list(cls),
@@ -287,12 +283,13 @@ def classes_json_obj(p: Presentation) -> dict:
             "m": jd.m,
             "finite_part": list(jd.finite_part),
         },
-        "bounded_form": not jd.has_other and jd.n != 1,
+        "bounded_form": jd.bounded_form,
+        "hasse_dot": hasse_dot(ts),
+        "complement_dot": p.to_dot(complement=True),
     }
 
 
-def hasse_dot(p: Presentation) -> str:
-    ts = tau_structure(p)
+def hasse_dot(ts: TauStructure) -> str:
     lines = ["digraph classes {"]
     for i, (cls, t) in enumerate(zip(ts.classes, ts.class_types)):
         label = "{" + ",".join(cls) + "} " + t.kind

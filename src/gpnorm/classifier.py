@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from . import classes as cl
 from .automorphisms import TRANSVECTION, AutGen
-from .presentation import Presentation, PresentationError
+from .presentation import Presentation, PresentationError, _ids_from_json
 from .quasimorphisms import (
     OddFunction,
     SplitQM,
@@ -105,20 +105,17 @@ def _homomorphism(p: Presentation, v: str, chain) -> Certificate:
     return Certificate(HOMOMORPHISM, chain=chain, witness=generator(p, v), target_vertex=v)
 
 
-def _dedupe_chain(chain: list[tuple[str, ...]]) -> tuple[tuple[str, ...], ...]:
-    out: list[tuple[str, ...]] = []
-    for step in chain:
-        if not out or set(step) != set(out[-1]):
-            out.append(tuple(step))
-    return tuple(out)
-
-
 def _prepend(verdict: Verdict, step: tuple[str, ...], trace: list[str]) -> Verdict:
+    """The verdict with step put in front of its chain.  Built chains are
+    strictly nested, since (ML, M) has L nonempty, so only the old head can
+    equal step; it is dropped then."""
     cert = verdict.certificate
-    chain = _dedupe_chain([step, *cert.chain])
+    chain = cert.chain
+    if chain and set(chain[0]) == set(step):
+        chain = chain[1:]
     return Verdict(
         verdict.bounded,
-        replace(cert, chain=chain),
+        replace(cert, chain=(step, *chain)),
         tuple(trace) + verdict.trace,
     )
 
@@ -184,7 +181,7 @@ def _classify(p: Presentation, trace: list[str]) -> Verdict:
     L = tuple(v for v in rest if any(not p.has_edge(v, w) for w in M))
     if not L:
         trace.append("L empty: direct product W_M x W_{V-M}")
-        if cl.bounded_form_check(p):
+        if cl.join_decomposition(p).bounded_form:
             return _bounded_verdict(p, trace)
         if mtype.kind == cl.FREE:
             if cl.lower_cone_violation(p, M) is not None:
@@ -278,7 +275,7 @@ def certificate_to_obj(cert: Certificate) -> dict:
 
 def certificate_from_obj(p: Presentation, obj: dict) -> Certificate:
     kind = obj["kind"]
-    chain = tuple(tuple(step) for step in obj.get("chain", []))
+    chain = tuple(_ids_from_json(step) for step in obj.get("chain", []))
     wit = obj.get("witness")
     witness = parse_word(p, wit) if wit is not None else None
     payload = obj.get("payload", {})
@@ -290,7 +287,7 @@ def certificate_from_obj(p: Presentation, obj: dict) -> Certificate:
             witness=witness,
             n=payload["n"],
             m=payload["m"],
-            finite_part=tuple(payload["finite_part"]),
+            finite_part=_ids_from_json(payload["finite_part"]),
             note=note,
         )
     if kind == HOMOMORPHISM:
@@ -474,7 +471,7 @@ def verify_certificate(p: Presentation, verdict: Verdict) -> Report:
 
     if cert.kind == BOUNDED_DECOMPOSITION:
         jd = cl.join_decomposition(p)
-        shape = not jd.has_other and jd.n != 1
+        shape = jd.bounded_form
         payload = (cert.n, cert.m, set(cert.finite_part)) == (jd.n, jd.m, set(jd.finite_part))
         rep.add(
             "decomposition-shape",

@@ -242,13 +242,10 @@ def cmd_distortion(ns: argparse.Namespace) -> int:
 def cmd_classes(ns: argparse.Namespace) -> int:
     p = _load(ns.graph)
     if ns.fmt == "dot":
-        sys.stdout.write(cl.hasse_dot(p))
+        sys.stdout.write(cl.hasse_dot(cl.tau_structure(p)))
         sys.stdout.write(p.to_dot(complement=True))
         return 0
-    obj = cl.classes_json_obj(p)
-    obj["hasse_dot"] = cl.hasse_dot(p)
-    obj["complement_dot"] = p.to_dot(complement=True)
-    _emit(obj)
+    _emit(cl.classes_json_obj(p))
     return 0
 
 

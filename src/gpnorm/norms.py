@@ -34,11 +34,6 @@ from .quasimorphisms import homogenize
 from .words import IDENTITY, NormalWord, invert, multiply, retract
 
 
-def _gen_list(gens) -> list[NormalWord]:
-    elements = getattr(gens, "elements", gens)
-    return [g for g in elements if g]
-
-
 def _ball(p: Presentation, gens: list[NormalWord], radius: int) -> dict[NormalWord, int]:
     """Distances from the identity in the (gens + inverses)-ball."""
     sym = dict.fromkeys(gens)
@@ -63,7 +58,8 @@ def _ball(p: Presentation, gens: list[NormalWord], radius: int) -> dict[NormalWo
 def norm_ball(p: Presentation, gens, radius: int) -> dict[NormalWord, int]:
     """The ball of radius ceil(radius/2) that ``norm_upper`` reads at this
     radius, as distances from the identity; reusable across queries."""
-    return _ball(p, _gen_list(gens), (radius + 1) // 2)
+    elements = getattr(gens, "elements", gens)  # an OrbitSet or a word list
+    return _ball(p, [g for g in elements if g], (radius + 1) // 2)
 
 
 def norm_upper(

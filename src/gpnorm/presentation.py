@@ -100,11 +100,8 @@ class Presentation:
         except KeyError:
             raise PresentationError(f"unknown vertex {v!r}") from None
 
-    def spec(self, v: str) -> VertexSpec:
-        return self.vertices[self.index(v)]
-
     def order(self, v: str) -> int | None:
-        return self.spec(v).order
+        return self._orders[self.index(v)]
 
     def _mask(self, X: Iterable[str]) -> int:
         mask = 0
@@ -170,10 +167,6 @@ class Presentation:
             comps.append(tuple(v for i, v in enumerate(ids) if comp >> i & 1))
         return tuple(comps)
 
-    def complement_components(self) -> tuple[tuple[str, ...], ...]:
-        """Connected components of the complement graph."""
-        return self.components(complement=True)
-
     def components_minus_star(self, v: str) -> tuple[tuple[str, ...], ...]:
         """Connected components of the graph with St(v) removed."""
         return self.components(set(self.vertex_ids) - self.star(v))
@@ -234,6 +227,14 @@ def _order_from_json(value) -> int | None:
     if isinstance(value, bool) or not isinstance(value, int):
         raise PresentationError(f"bad order value {value!r}")
     return value
+
+
+def _ids_from_json(value) -> tuple[str, ...]:
+    """A JSON list of vertex ids as a tuple.  Anything else raises
+    TypeError, so a string is not read as its characters."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise TypeError(f"expected a list of vertex ids, got {value!r}")
+    return tuple(value)
 
 
 def parse_presentation(source: str | dict) -> Presentation:
@@ -308,11 +309,6 @@ def _factorization(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(parts)
 
 
-def _prime_power_parts(n: int) -> list[int]:
-    """Prime-power factorization, sorted by prime."""
-    return [q for _, q in _factorization(n)]
-
-
 def expand_to_primary(p: Presentation) -> Presentation:
     """Replace every vertex group by a clique of primary / infinite cyclic
     vertices generating an isomorphic group.
@@ -334,7 +330,7 @@ def expand_to_primary(p: Presentation) -> Presentation:
             if f is None:
                 parts.append(None)
             else:
-                parts.extend(_prime_power_parts(f))
+                parts.extend(q for _, q in _factorization(f))
         if len(parts) == 1:
             ids = [v.id]
         else:

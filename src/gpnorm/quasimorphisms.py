@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
 
-from .presentation import Presentation, PresentationError
+from .presentation import Presentation, PresentationError, _ids_from_json
 from .words import (
     IDENTITY,
     NormalWord,
@@ -244,7 +244,7 @@ def odd_function_from_obj(p: Presentation, obj: dict) -> OddFunction:
     )
     base = obj.get("power_base")
     return OddFunction(
-        side=tuple(obj["side"]),
+        side=_ids_from_json(obj["side"]),
         table=table,
         power_base=parse_word(p, base) if base is not None else None,
         sup_norm=Fraction(obj["sup_norm"]),
@@ -263,7 +263,7 @@ def split_qm_to_obj(q: SplitQM) -> dict:
 
 def split_qm_from_obj(p: Presentation, obj: dict) -> SplitQM:
     return SplitQM(
-        left=tuple(obj["split_left"]),
+        left=_ids_from_json(obj["split_left"]),
         sigma_left=odd_function_from_obj(p, obj["sigma_left"]),
         sigma_right=odd_function_from_obj(p, obj["sigma_right"]),
         defect=Fraction(obj["defect"]),

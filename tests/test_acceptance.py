@@ -20,10 +20,10 @@ from gpnorm import (
     VertexSpec,
     apply_gen,
     aut0_generators,
-    bounded_form_check,
     classify,
     generator,
     invert,
+    join_decomposition,
     lower_cone_violation,
     make_split_qm,
     multiply,
@@ -161,18 +161,18 @@ def _exhaustive_corpus():
 
 
 def test_criterion_3_classifier_oracle_agreement():
-    """classify(p).bounded == bounded_form_check(p): exhaustive <= 5 vertices
-    over orders {2,3,4,inf} up to relabeling, plus 10^3 seeded random
-    presentations with <= 8 vertices.  Zero disagreements; runtime < 5 min."""
+    """classify(p).bounded == join_decomposition(p).bounded_form: exhaustive
+    <= 5 vertices over orders {2,3,4,inf} up to relabeling, plus 10^3 seeded
+    random presentations with <= 8 vertices.  Zero disagreements; runtime < 5 min."""
     start = time.monotonic()
     count = 0
     for p in _exhaustive_corpus():
-        assert classify(p).bounded == bounded_form_check(p), repr(p)
+        assert classify(p).bounded == join_decomposition(p).bounded_form, repr(p)
         count += 1
     rng = random.Random(2024)
     for _ in range(1000):
         p = random_presentation(rng, max_vertices=8)
-        assert classify(p).bounded == bounded_form_check(p), repr(p)
+        assert classify(p).bounded == join_decomposition(p).bounded_form, repr(p)
     assert time.monotonic() - start < 300
     report("criterion-3 classifier/oracle agreement", start,
            f"{count} exhaustive + 1000 random presentations")

@@ -11,7 +11,6 @@ from gpnorm import (
     expand_to_primary,
     generator,
     invert,
-    make_generator,
     multiply,
     named_presentation,
     orbit,
@@ -23,8 +22,6 @@ from gpnorm import (
 from gpnorm.automorphisms import (
     FACTOR,
     LABELLED_GRAPH,
-    PARTIAL_CONJ,
-    TRANSVECTION,
     _unit_group_generators,
     transvection_exponent,
 )
@@ -92,41 +89,42 @@ def test_transvection_exponent():
             transvection_exponent(r, "a", "b")
 
 
-def test_make_generator_validation():
+def test_parse_generator_validation():
     p = pres({"a": None, "b": None, "c": None}, [("a", "b"), ("b", "c")])
     with pytest.raises(ValueError):
-        make_generator(p, TRANSVECTION, vertex="b", target="a")  # b not <=_tau a
-    g = make_generator(p, TRANSVECTION, vertex="a", target="b")
+        parse_generator(p, "tv(b,a)")  # b not <=_tau a
+    g = parse_generator(p, "tv(a,b)")
     assert g.literal() == "tv(a,b)"
     with pytest.raises(ValueError):
-        make_generator(p, FACTOR, vertex="a", unit=2)  # infinite order needs +-1
+        parse_generator(p, "factor(a,2)")  # infinite order needs +-1
     p4 = pres({"a": 4})
     with pytest.raises(ValueError):
-        make_generator(p4, FACTOR, vertex="a", unit=2)  # not a unit
+        parse_generator(p4, "factor(a,2)")  # not a unit
+    assert parse_generator(p4, "factor(a,-1)").unit == 3  # reduced mod the order
     with pytest.raises(ValueError):
-        make_generator(p, PARTIAL_CONJ, vertex="b", component=("a",))  # St(b) = all
-    g = make_generator(p, PARTIAL_CONJ, vertex="a", component=("c",))
+        parse_generator(p, "pc(b,a)")  # St(b) = all
+    g = parse_generator(p, "pc(a,c)")
     assert g.literal() == "pc(a,c)"
     with pytest.raises(ValueError):
-        make_generator(p, LABELLED_GRAPH, permutation=[("a", "b"), ("b", "a"), ("c", "c")])
-    g = make_generator(p, LABELLED_GRAPH, permutation=[("a", "c"), ("b", "b"), ("c", "a")])
+        parse_generator(p, "graph(a:b,b:a,c:c)")
+    g = parse_generator(p, "graph(a:c,b:b,c:a)")
     assert apply_gen(p, g, parse_word(p, "a c")) == parse_word(p, "c a")
 
 
 def test_apply_factor():
     p = pres({"a": 5})
-    g = make_generator(p, FACTOR, vertex="a", unit=2)
+    g = parse_generator(p, "factor(a,2)")
     assert apply_gen(p, g, generator(p, "a")) == generator(p, "a", 2)
     # inverse undoes it: 2 * 3 = 6 = 1 mod 5
     assert apply_gen(p, g, generator(p, "a"), inverse=True) == generator(p, "a", 3)
     q = pres({"a": None})
-    inv = make_generator(q, FACTOR, vertex="a", unit=-1)
+    inv = parse_generator(q, "factor(a,-1)")
     assert apply_gen(q, inv, generator(q, "a", 3)) == generator(q, "a", -3)
 
 
 def test_apply_transvection():
     p = pres({"a": None, "b": None}, [("a", "b")])
-    g = make_generator(p, TRANSVECTION, vertex="a", target="b")
+    g = parse_generator(p, "tv(a,b)")
     assert apply_gen(p, g, generator(p, "a")) == parse_word(p, "a b")
     assert apply_gen(p, g, generator(p, "a", 3)) == parse_word(p, "a^3 b^3")
     assert apply_gen(p, g, apply_gen(p, g, generator(p, "a"), inverse=True)) == generator(p, "a")
@@ -134,7 +132,7 @@ def test_apply_transvection():
 
 def test_apply_partial_conjugation():
     p = pres({"a": 2, "b": 2})
-    g = make_generator(p, PARTIAL_CONJ, vertex="a", component=("b",))
+    g = parse_generator(p, "pc(a,b)")
     assert apply_gen(p, g, generator(p, "b")) == parse_word(p, "a b a")
     assert apply_gen(p, g, generator(p, "a")) == generator(p, "a")
 
@@ -163,7 +161,7 @@ def test_automorphism_property_random():
 
 def test_apply_sequence():
     p = pres({"a": None, "b": None}, [("a", "b")])
-    t = make_generator(p, TRANSVECTION, vertex="a", target="b")
+    t = parse_generator(p, "tv(a,b)")
     x = generator(p, "a")
     assert apply_gen(p, t, apply_gen(p, t, x)) == parse_word(p, "a b^2")
     assert apply_gen(p, t, apply_gen(p, t, x), inverse=True) == x

@@ -5,7 +5,6 @@ import pytest
 
 from gpnorm import (
     aut0_generators,
-    bounded_form_check,
     join_decomposition,
     lower_cone_violation,
     parse_presentation,
@@ -99,7 +98,8 @@ def test_hasse_and_json():
     obj = classes_json_obj(p)
     assert set(obj) >= {"vertices", "leq", "leq_tau", "classes", "join_decomposition"}
     assert obj["bounded_form"] is False
-    dot = hasse_dot(p)
+    assert obj["hasse_dot"] == hasse_dot(tau_structure(p))
+    dot = obj["hasse_dot"]
     assert dot.startswith("digraph") and "FREE_ABELIAN" in dot
 
 
@@ -128,20 +128,20 @@ def test_join_decomposition_shapes():
     assert shapes[("e",)] == FINITE_FACTOR
     assert (jd.n, jd.m, jd.finite_part) == (2, 1, ("e",))
     assert not jd.has_other
-    assert bounded_form_check(p)
+    assert jd.bounded_form
 
 
 def test_bounded_form_rejects_single_z():
-    assert not bounded_form_check(pres({"a": None}, []))
-    assert bounded_form_check(pres({"a": 2}, []))
-    assert bounded_form_check(pres({}, []))
+    assert not join_decomposition(pres({"a": None}, [])).bounded_form
+    assert join_decomposition(pres({"a": 2}, [])).bounded_form
+    assert join_decomposition(pres({}, [])).bounded_form
 
 
 def test_other_component():
     f2 = pres({"a": None, "b": None}, [])
     jd = join_decomposition(f2)
     assert jd.components[0][1] == OTHER and jd.has_other
-    assert not bounded_form_check(f2)
+    assert not jd.bounded_form
     # order-3 pair is OTHER, not DINF
     p33 = pres({"a": 3, "b": 3}, [])
     assert join_decomposition(p33).components[0][1] == OTHER

@@ -10,9 +10,9 @@ import pytest
 from gpnorm import (
     Certificate,
     Verdict,
-    bounded_form_check,
     classify,
     expand_to_primary,
+    join_decomposition,
     lower_cone_violation,
     make_split_qm,
     parse_presentation,
@@ -68,7 +68,7 @@ def test_classify_known_cases(p, bounded, kind):
     v = classify(p)
     assert v.bounded == bounded
     assert v.certificate.kind == kind
-    assert v.bounded == bounded_form_check(p)
+    assert v.bounded == join_decomposition(p).bounded_form
 
 
 def test_classify_requires_primary():
@@ -127,7 +127,7 @@ def test_oracle_agreement_random():
     rng = random.Random(11)
     for _ in range(200):
         p = random_presentation(rng, max_vertices=7)
-        assert classify(p).bounded == bounded_form_check(p), repr(p)
+        assert classify(p).bounded == join_decomposition(p).bounded_form, repr(p)
 
 
 def test_verify_random_roundtrip():

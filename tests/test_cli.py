@@ -350,6 +350,56 @@ def test_malformed_certificate_file_exits_1(corpus_dir, tmp_path, capsys):
             assert err.count("\n") == 1 and f"malformed certificate file {path}" in err
 
 
+# (presentation, path of a vertex list in its verdict): each is replaced by
+# a string, which must not be read as a list of one-letter vertices
+STRING_FIELDS = {
+    "chain-step": ("path_raag", ("certificate", "chain"), ["ac"]),
+    "finite-part": ("dinf_x_c2", ("certificate", "payload", "finite_part"), "c"),
+    "split-left": ("psl", ("certificate", "payload", "split_left"), "a"),
+    "side": ("psl", ("certificate", "payload", "sigma_left", "side"), "a"),
+}
+
+
+@pytest.mark.parametrize("case", STRING_FIELDS)
+def test_vertex_list_given_as_string_exits_1(corpus_dir, tmp_path, capsys, case):
+    name, keys, value = STRING_FIELDS[case]
+    graph = str(corpus_dir / f"{name}.json")
+    obj = verdict_to_obj(classify(named_presentation(name)))
+    target = obj
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", graph, str(path))
+    assert (code, out, err.count("\n")) == (1, "", 1)
+    assert f"malformed certificate file {path} (TypeError:" in err
+
+
+# the literal and the one stderr line of its rejection
+REJECTED_GENERATORS = {
+    "tv(b,a)": "tv(b,a): not v <=_tau w",
+    "tv(a,a)": "transvection needs v != w",
+    "tv(a)": "tv needs 2 arguments: 'tv(a)'",
+    "factor(a,2)": "factor(a,2): infinite order needs m = +-1",
+    "factor(a,x)": "invalid literal for int() with base 10: 'x'",
+    "pc(b,a)": "pc(b,a): a not in any component of Gamma - St(b)",
+    "pc(a,zz)": "pc(a,zz): zz not in any component of Gamma - St(a)",
+    "graph(a:b,b:a,c:c)": "graph map does not preserve edge b-c",
+    "graph(a:c,b:b)": "graph map is not a permutation of the vertices",
+    "graph(a)": "graph entries must be v:w pairs: 'graph(a)'",
+    "foo(a,b)": "unknown generator family 'foo'",
+    "tv": "bad generator literal 'tv'",
+}
+
+
+@pytest.mark.parametrize("literal", REJECTED_GENERATORS)
+def test_rejected_generator_literal(corpus_dir, capsys, literal):
+    code, out, err = run(capsys, "orbit", str(corpus_dir / "path_raag.json"),
+                         "--gen", literal)
+    assert (code, out, err) == (1, "", f"gpnorm: error: {REJECTED_GENERATORS[literal]}\n")
+
+
 @pytest.mark.parametrize("text", ['{"vertices": [1, 2]}', '{"vertices": {"id": "a"}}',
                                   '{"vertices": [{"id": "a", "factors": 6}]}',
                                   '{"vertices": [{"id": "a", "order": 2}], "edges": [1]}'])

@@ -1,12 +1,15 @@
 """Import hygiene without a lint tool: no module imports a name it never
-uses, and every public name resolves."""
+uses, every public name resolves, and so does every function that the
+benchmark's tracer wraps."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import gpnorm
 
 SRC = Path(gpnorm.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -35,3 +38,23 @@ def test_public_names_resolve():
     missing = [name for name in gpnorm.__all__ if not hasattr(gpnorm, name)]
     assert missing == []
     assert len(set(gpnorm.__all__)) == len(gpnorm.__all__)
+
+
+def test_benchmark_targets_resolve():
+    """Every (module, qualname) in TARGETS of perfbench/tracer.py names a
+    gpnorm function; TARGETS is read with ast, without importing perfbench."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    targets = next(
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets)
+    )
+    assert targets
+    missing = []
+    for module, qualname in targets:
+        obj = importlib.import_module(f"gpnorm.{module}")
+        for name in qualname.split("."):
+            obj = getattr(obj, name, None)
+        if not callable(obj):
+            missing.append(f"{module}.{qualname}")
+    assert missing == []

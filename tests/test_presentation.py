@@ -10,7 +10,7 @@ from gpnorm import (
     expand_to_primary,
     parse_presentation,
 )
-from gpnorm.presentation import MAX_ORDER, _prime_power_parts
+from gpnorm.presentation import MAX_ORDER, _factorization
 
 
 def test_parse_roundtrip():
@@ -120,7 +120,7 @@ def test_complement_components():
     p = parse_presentation(
         {"vertices": [{"id": v, "order": 2} for v in "abc"], "edges": [["a", "b"]]}
     )
-    assert p.complement_components() == (("a", "b", "c"),)
+    assert p.components(complement=True) == (("a", "b", "c"),)
     # complete graph: all vertices complement-isolated
     k3 = parse_presentation(
         {
@@ -128,7 +128,7 @@ def test_complement_components():
             "edges": [["a", "b"], ["a", "c"], ["b", "c"]],
         }
     )
-    assert k3.complement_components() == (("a",), ("b",), ("c",))
+    assert k3.components(complement=True) == (("a",), ("b",), ("c",))
 
 
 def test_components_minus_star():
@@ -143,15 +143,15 @@ def test_components_minus_star():
 
 
 def test_prime_power_parts():
-    assert _prime_power_parts(2) == [2]
-    assert _prime_power_parts(12) == [4, 3]
-    assert _prime_power_parts(360) == [8, 9, 5]
+    assert _factorization(2) == ((2, 2),)
+    assert _factorization(12) == ((2, 4), (3, 3))
+    assert _factorization(360) == ((2, 8), (3, 9), (5, 5))
     # trial division takes up to sqrt(n) steps; 2^40 itself is still factored
     assert MAX_ORDER == 2**40
-    assert _prime_power_parts(2**40) == [2**40]
+    assert _factorization(2**40) == ((2, 2**40),)
     for order in (2**40 + 1, 2**61 - 1):
         with pytest.raises(PresentationError, match="above the supported ceiling"):
-            _prime_power_parts(order)
+            _factorization(order)
     with pytest.raises(PresentationError, match="above the supported ceiling"):
         expand_to_primary(parse_presentation({"vertices": [{"id": "a", "factors": [6, 2**41]}]}))
 
