@@ -11,7 +11,12 @@ computed against it are bi-Lipschitz the Aut-invariant ones.
 Orbits of word sets under a generator list are enumerated breadth-first with
 canonical-form deduplication, truncated by composition depth and by a cap on
 the exponent weight of images.  Truncation only shrinks the orbit, so norms
-computed from a truncated orbit are upper bounds.
+computed from a truncated orbit are upper bounds.  A generator fixes, in both
+directions, every word that avoids the vertices it moves: v for a factor
+automorphism or transvection of v, K for a partial conjugation of K, and (as
+``orbit`` counts it) every vertex for a graph symmetry; ``orbit`` skips those
+pairs.  A factor image needs no renormalising: a unit keeps each exponent
+nonzero and each syllable in place, and the canonical order reads vertices only.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from typing import Iterable, Sequence
 
 from . import classes as cl
 from .presentation import Presentation, PresentationError, _factorization
-from .words import NormalWord, Syllable, exponent_weight, normal_form, power
+from .words import NormalWord, Syllable, exponent_weight, normal_form
 
 LABELLED_GRAPH = "LABELLED_GRAPH"
 FACTOR = "FACTOR"
@@ -170,39 +175,39 @@ def aut0_generators(p: Presentation) -> list[AutGen]:
 
 
 def apply_gen(p: Presentation, g: AutGen, x: NormalWord, inverse: bool = False) -> NormalWord:
-    """Image of x under one generator (or its inverse)."""
+    """Image of the canonical x under one generator (or its inverse)."""
     if g.kind == FACTOR:
         n = p.order(g.vertex)
         # on an infinite vertex the unit is +-1, its own inverse
         m = pow(g.unit, -1, n) if inverse and n is not None else g.unit
-        out = [
-            Syllable(v, e * m) if v == g.vertex else Syllable(v, e)
-            for v, e in x
-        ]
-        return normal_form(p, out)
+        return NormalWord([  # canonical as it stands: see the module docstring
+            Syllable(g.vertex, s.exponent * m % n if n else s.exponent * m)
+            if s.vertex == g.vertex else s for s in x
+        ])
     if g.kind == TRANSVECTION:
-        q = transvection_exponent(p, g.vertex, g.target)
-        if inverse:
-            q = -q
-        img = normal_form(p, [Syllable(g.vertex, 1), Syllable(g.target, q)])
+        v, w = g.vertex, g.target
+        q = transvection_exponent(p, v, w) * (-1 if inverse else 1)
+        commute = p.has_edge(v, w)
         out: list[Syllable] = []
-        for v, e in x:
-            if v == g.vertex:
-                out.extend(power(p, img, e))
-            else:
-                out.append(Syllable(v, e))
+        for s in x:
+            e = s.exponent
+            if s.vertex != v:
+                out.append(s)
+            elif commute:  # (v w^q)^e = v^e w^(qe)
+                out += (Syllable(v, e), Syllable(w, q * e))
+            else:  # (v w^q)^e, written (w^-q v^-1)^|e| when e < 0
+                out += ((Syllable(v, 1), Syllable(w, q)) if e > 0
+                        else (Syllable(w, -q), Syllable(v, -1))) * abs(e)
         return normal_form(p, out)
     if g.kind == PARTIAL_CONJ:
-        s = -1 if inverse else 1
+        c = -1 if inverse else 1
         K = set(g.component)
         out = []
-        for v, e in x:
-            if v in K:
-                out.append(Syllable(g.vertex, s))
-                out.append(Syllable(v, e))
-                out.append(Syllable(g.vertex, -s))
+        for s in x:
+            if s.vertex in K:
+                out += (Syllable(g.vertex, c), s, Syllable(g.vertex, -c))
             else:
-                out.append(Syllable(v, e))
+                out.append(s)
         return normal_form(p, out)
     if g.kind == LABELLED_GRAPH:
         perm = dict(g.permutation)
@@ -246,10 +251,15 @@ def orbit(
     elements: set[NormalWord] = set(frontier)
     exhausted = not frontier
     depth_used = 0
+    moved = [(g, p._mask(p.vertex_ids if g.kind == LABELLED_GRAPH
+                         else g.component or (g.vertex,))) for g in gens]
     for _ in range(depth):
         new: list[NormalWord] = []
         for x in frontier:
-            for g in gens:
+            support = p._mask(v for v, _ in x)
+            for g, mask in moved:
+                if not mask & support:  # g fixes x: its images are x itself
+                    continue
                 for inv in (False, True):
                     y = apply_gen(p, g, x, inverse=inv)
                     if y in elements or exponent_weight(y) > length_cap:

@@ -281,6 +281,8 @@ def certificate_from_obj(p: Presentation, obj: dict) -> Certificate:
     payload = obj.get("payload", {})
     note = obj.get("note", "")
     if kind == BOUNDED_DECOMPOSITION:
+        if not type(payload["n"]) is type(payload["m"]) is int:  # bools are not counts
+            raise TypeError("payload n and m must be JSON integers")
         return Certificate(
             kind,
             chain=chain,
@@ -319,8 +321,10 @@ def verdict_to_obj(v: Verdict) -> dict:
 
 
 def verdict_from_obj(p: Presentation, obj: dict) -> Verdict:
+    if type(obj["bounded"]) is not bool:
+        raise TypeError("bounded must be JSON true or false")
     return Verdict(
-        bool(obj["bounded"]),
+        obj["bounded"],
         certificate_from_obj(p, obj["certificate"]),
         tuple(obj.get("trace", [])),
     )

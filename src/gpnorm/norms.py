@@ -6,14 +6,15 @@ set, so any factorization found is a genuine upper bound, and failure within
 the radius is reported as UNKNOWN (None), never converted into a claim.
 
 One rule answers every radius r.  ``norm_ball`` builds the ball B_h of
-radius h = ceil(r/2) by breadth-first search, and ``norm_upper`` reads x
-from it, or else scans u in it for the least d(u) + d(u x) with u x in it.
-This is exact: a factorization of length n <= r <= 2h splits as
-u^-1 * (u x) with both parts of length at most h.  The scan stops as soon
-as the total reaches m + 1, where m is the largest distance in the ball,
-because an x outside B_m has norm at least m + 1.  So a query costs one
-B_h build plus at most one scan of it, and a ball reused across many
-queries costs one scan per query outside it.
+radius h = ceil(r/2) by breadth-first search, one frontier word times every
+generator per step, and ``norm_upper`` reads x from it, or else scans w in
+it for the least d(w) + d(x^-1 w) with x^-1 w in it.  This is exact: a
+factorization of length n <= r <= 2h splits as w * (x^-1 w)^-1 with both
+parts of length at most h.  The scan stops as soon as the total reaches
+m + 1, where m is the largest distance in the ball, because an x outside
+B_m has norm at least m + 1.  So a query costs one B_h build plus at most
+one scan of it, and a ball reused across many queries costs one scan per
+query outside it.
 
 Lower bounds come only from exact certificates.  For a product of n orbit
 elements, |qbar(x)| <= n * B + (n-1) * D <= n (B + D) where B bounds |qbar|
@@ -31,7 +32,7 @@ from fractions import Fraction
 from .classifier import BOUNDED_DECOMPOSITION, CITATION, HOMOMORPHISM, SPLIT_QM
 from .presentation import Presentation
 from .quasimorphisms import homogenize
-from .words import IDENTITY, NormalWord, invert, multiply, retract
+from .words import IDENTITY, NormalWord, _products, invert, multiply, retract
 
 
 def _ball(p: Presentation, gens: list[NormalWord], radius: int) -> dict[NormalWord, int]:
@@ -39,13 +40,12 @@ def _ball(p: Presentation, gens: list[NormalWord], radius: int) -> dict[NormalWo
     sym = dict.fromkeys(gens)
     for g in gens:
         sym.setdefault(invert(p, g))
-    dist = {IDENTITY: 0}
-    frontier = [IDENTITY]
-    for d in range(1, radius + 1):
+    frontier = [g for g in sym if g] if radius >= 1 else []
+    dist = {IDENTITY: 0, **dict.fromkeys(frontier, 1)}
+    for d in range(2, radius + 1):
         new = []
         for x in frontier:
-            for g in sym:
-                y = multiply(p, x, g)
+            for y in _products(p, x, sym):
                 if y not in dist:
                     dist[y] = d
                     new.append(y)
@@ -72,17 +72,19 @@ def norm_upper(
     With h = ceil(radius/2), x is read from the ball B_h if it lies there.
     Otherwise let m be the largest distance in the ball: x is outside B_m,
     so its norm is at least m + 1, and if m + 1 > radius the answer is None.
-    Else the answer is the least d(u) + d(u x) <= radius over u with u and
-    u x in B_h; the scan stops at the first total equal to m + 1.  It is
-    exact because any factorization x = g_1 ... g_n with h < n <= 2h splits
-    as u^-1 * (u x) with u^-1 = g_1 ... g_{n-h} and u x = g_{n-h+1} ... g_n.
+    Else the answer is the least d(w) + d(u) <= radius over w in B_h with
+    u = x^-1 w in B_h; the scan stops at the first total equal to m + 1.
+    The ball is symmetric, so u^-1 lies in it at the distance of u, and
+    x = w u^-1 is a factorization of that length.  It is exact because any
+    x = g_1 ... g_n with h < n <= 2h has w = g_1 ... g_{n-h} and
+    u^-1 = g_{n-h+1} ... g_n in B_h.  The products x^-1 w share one
+    canonical x^-1 and are made lazily, one per ball element scanned.
 
     A precomputed ``ball`` from ``norm_ball`` at the same radius may be
-    passed to amortize the BFS over many queries.  It must be symmetric, as
-    ``norm_ball``'s is: u^-1 lies in it at the distance of u, so the scan
-    multiplies by u rather than u^-1.  Reuse trades one BFS per query for
-    one scan per query outside the ball; at radius 2 the exit comes at the
-    first hit, but an x of norm above 2 still scans the whole ball.
+    passed to amortize the BFS over many queries; it must be symmetric, as
+    ``norm_ball``'s is.  Reuse trades one BFS per query for one scan per
+    query outside the ball; at radius 2 the exit comes at the first hit,
+    but an x of norm above 2 still scans the whole ball.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
@@ -96,13 +98,11 @@ def norm_upper(
     if floor > radius:
         return None
     best: int | None = None
-    for u, du in ball.items():
-        if du == 0:
+    for dw, u in zip(ball.values(), _products(p, invert(p, x), ball)):
+        du = ball.get(u)
+        if du is None:
             continue
-        dv = ball.get(multiply(p, u, x))
-        if dv is None:
-            continue
-        total = du + dv
+        total = dw + du
         if total <= radius and (best is None or total < best):
             best = total
             if best == floor:

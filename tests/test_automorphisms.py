@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -5,23 +6,30 @@ import pytest
 
 from gpnorm import (
     IDENTITY,
+    Syllable,
     apply_gen,
     aut0_generators,
     classify,
     expand_to_primary,
+    exponent_weight,
     generator,
     invert,
     multiply,
     named_presentation,
+    normal_form,
     orbit,
     parse_generator,
     parse_presentation,
     parse_word,
+    power,
+    random_presentation,
+    random_word,
     word_literal,
 )
 from gpnorm.automorphisms import (
     FACTOR,
     LABELLED_GRAPH,
+    TRANSVECTION,
     _unit_group_generators,
     transvection_exponent,
 )
@@ -235,3 +243,95 @@ def test_transvection_on_long_power(path_raag):
     g = parse_generator(path_raag, "tv(a,c)")
     got = apply_gen(path_raag, g, generator(path_raag, "a", 3000))
     assert word_literal(got) == " ".join(["a c"] * 3000)
+
+
+# -- referee: the orbit BFS that applies every generator to every word ------
+
+
+def referee_orbit(p, seeds, gens, depth, cap):
+    """BFS closure that calls apply_gen on every frontier word, generator and
+    direction, skipping none; the same insertion order as ``orbit``."""
+    start = dict.fromkeys(normal_form(p, s) for s in seeds)
+    frontier = [s for s in start if exponent_weight(s) <= cap]
+    elements = set(frontier)
+    exhausted, depth_used = not frontier, 0
+    for _ in range(depth):
+        new = []
+        for x in frontier:
+            for g in gens:
+                for inv in (False, True):
+                    y = apply_gen(p, g, x, inverse=inv)
+                    if y not in elements and exponent_weight(y) <= cap:
+                        elements.add(y)
+                        new.append(y)
+        if not new:
+            exhausted = True
+            break
+        depth_used += 1
+        frontier = new
+    return frozenset(elements), exhausted, depth_used
+
+
+def referee_cases():
+    for name in sorted(NAMED):
+        p = expand_to_primary(named_presentation(name))
+        yield name, p, [generator(p, v) for v in p.vertex_ids]
+    rng = random.Random(15)
+    for k in range(100):
+        p = random_presentation(rng, 5)
+        seeds = [generator(p, v) for v in p.vertex_ids]
+        yield f"random-{k}", p, seeds + [random_word(p, rng, 4), IDENTITY]
+
+
+def graph_symmetries(p):
+    """The identity and every transposition of two vertices that is a
+    labelled graph automorphism."""
+    ids = p.vertex_ids
+    out = []
+    for a, b in [(ids[0], ids[0])] + list(itertools.combinations(ids, 2)):
+        swap = {a: b, b: a}
+        try:
+            out.append(parse_generator(
+                p, "graph(" + ",".join(f"{v}:{swap.get(v, v)}" for v in ids) + ")"))
+        except ValueError:
+            pass
+    return out
+
+
+def test_orbit_matches_referee_bfs():
+    swaps = 0
+    for name, p, seeds in referee_cases():
+        gens = aut0_generators(p) + graph_symmetries(p)
+        swaps += sum(g.kind == LABELLED_GRAPH for g in gens) - 1
+        got = orbit(p, seeds, gens, 2, 8)
+        want, exhausted, depth_used = referee_orbit(p, seeds, gens, 2, 8)
+        assert got.elements == want, name
+        assert list(got.elements) == list(want), name
+        assert (got.frontier_exhausted, got.depth_used) == (exhausted, depth_used), name
+    assert swaps > 20
+
+
+def test_factor_and_transvection_images_match_referee():
+    # FACTOR: normal_form of the exponent-mapped raw word; TRANSVECTION: the
+    # substitution v -> power(v w^q, e), both directions
+    rng = random.Random(16)
+    for name, p, _ in referee_cases():
+        words = [random_word(p, rng, 6) for _ in range(5)]
+        for g in aut0_generators(p):
+            for inv in (False, True):
+                for x in words:
+                    got = apply_gen(p, g, x, inverse=inv)
+                    if g.kind == FACTOR:
+                        n = p.order(g.vertex)
+                        m = pow(g.unit, -1, n) if inv and n else g.unit
+                        want = normal_form(p, [(v, e * m if v == g.vertex else e)
+                                               for v, e in x])
+                    elif g.kind == TRANSVECTION:
+                        q = transvection_exponent(p, g.vertex, g.target)
+                        img = normal_form(p, [(g.vertex, 1), (g.target, -q if inv else q)])
+                        want = normal_form(p, [s for v, e in x for s in (
+                            power(p, img, e) if v == g.vertex else [(v, e)])])
+                    else:
+                        continue
+                    assert got == want, (name, g.literal(), inv, word_literal(x))
+                    assert all(type(s) is Syllable for s in got)

@@ -376,6 +376,33 @@ def test_vertex_list_given_as_string_exits_1(corpus_dir, tmp_path, capsys, case)
     assert f"malformed certificate file {path} (TypeError:" in err
 
 
+# (presentation, fields of its verdict, replacements): a JSON value that
+# compares equal to the right one (True == 1, 0.0 == 0) or is truthy must
+# still be refused as the wrong type
+WRONG_TYPES = {
+    "bool-and-float-counts": ("dinf_x_c2", ("certificate", "payload"), {"m": True, "n": 0.0}),
+    "float-count": ("dinf_x_c2", ("certificate", "payload"), {"n": 0.0}),
+    "string-bounded": ("psl", (), {"bounded": "no"}),
+    "integer-bounded": ("dinf_x_c2", (), {"bounded": 1}),
+}
+
+
+@pytest.mark.parametrize("case", WRONG_TYPES)
+def test_wrong_json_type_exits_1(corpus_dir, tmp_path, capsys, case):
+    name, keys, fields = WRONG_TYPES[case]
+    graph = str(corpus_dir / f"{name}.json")
+    obj = verdict_to_obj(classify(named_presentation(name)))
+    target = obj
+    for key in keys:
+        target = target[key]
+    target.update(fields)
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", graph, str(path))
+    assert (code, out, err.count("\n")) == (1, "", 1)
+    assert f"malformed certificate file {path} (TypeError:" in err
+
+
 # the literal and the one stderr line of its rejection
 REJECTED_GENERATORS = {
     "tv(b,a)": "tv(b,a): not v <=_tau w",

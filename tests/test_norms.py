@@ -9,6 +9,8 @@ from gpnorm import (
     distortion_table,
     expand_to_primary,
     generator,
+    invert,
+    multiply,
     named_presentation,
     norm_ball,
     norm_lower,
@@ -84,9 +86,47 @@ def test_norm_upper_mitm_matches_direct():
                     assert norm_upper(p, x, orb, r, ball=reused) == want, (name, x, d, r)
 
 
+# the seven shapes of the norm benchmark, each with its (orbit depth, length
+# cap, radius) settings
+BENCH_SHAPES = {
+    "psl": [(2, 6, 3), (3, 8, 4), (2, 6, 4)],
+    "dinf": [(2, 6, 2), (3, 8, 4), (3, 10, 5)],
+    "f2": [(1, 4, 2), (2, 6, 2), (1, 4, 4)],
+    "path_raag": [(1, 4, 2), (1, 4, 4), (2, 6, 2)],
+    "c2c2c2": [(2, 6, 2), (2, 6, 4), (2, 6, 3)],
+    "c6_star_z": [(1, 4, 2), (1, 4, 4), (2, 6, 2)],
+    "z2_x_dinf": [(2, 6, 3), (3, 8, 4), (2, 6, 4)],
+}
+
+
+def multiply_ball(p, gens, radius):
+    """Breadth-first ball with one ``multiply`` per (word, generator)."""
+    sym = list(dict.fromkeys(gens + [invert(p, g) for g in gens]))
+    dist, frontier = {IDENTITY: 0}, [IDENTITY]
+    for d in range(1, radius + 1):
+        new = []
+        for x in frontier:
+            for g in sym:
+                y = multiply(p, x, g)
+                if y not in dist:
+                    dist[y] = d
+                    new.append(y)
+        frontier = new
+    return dist
+
+
+def test_norm_ball_matches_multiply_bfs():
+    for name, settings in BENCH_SHAPES.items():
+        p = expand_to_primary(named_presentation(name))
+        for depth, cap, radius in settings:
+            orb = std_orbit(p, depth, cap)
+            want = multiply_ball(p, [g for g in orb.elements if g], (radius + 1) // 2)
+            assert list(norm_ball(p, orb, radius).items()) == list(want.items()), name
+
+
 def test_norm_upper_mitm_equals_bfs_distance(psl):
-    # the meet-in-the-middle scan multiplies by u, not u^-1, which relies on
-    # the half-radius ball being symmetric
+    # the meet-in-the-middle scan reads u = x^-1 w at the distance of u^-1,
+    # which relies on the half-radius ball being symmetric
     orb = std_orbit(psl, 2, 4)
     dist = _ball(psl, list(orb.elements), 4)
     assert max(dist.values()) == 4

@@ -23,6 +23,7 @@ from gpnorm import (
     word_literal,
 )
 from gpnorm.presentation import PresentationError
+from gpnorm.words import _products
 
 PATH = parse_presentation(
     {
@@ -352,6 +353,38 @@ def test_multiply_rejects_unknown_vertex():
     for left, right in [(x, b), (b, x), (IDENTITY, x), (x, IDENTITY)]:
         with pytest.raises(PresentationError):
             multiply(PSL, left, right)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_products_match_multiply(seed):
+    # one left factor, many raw right factors: exponents outside their
+    # range, zero exponents, the empty word, x and x^-1 themselves
+    rng = random.Random(f"products-{seed}")
+    for _ in range(10):
+        p = random_presentation(rng, rng.randint(1, 8), rng.random())
+        ids = p.vertex_ids
+
+        def raw(n):
+            return [(rng.choice(ids), rng.randint(-9, 9)) for _ in range(n)]
+
+        x = normal_form(p, raw(rng.randint(1, 30))) or generator(p, ids[0])
+        ws = [raw(rng.randint(0, 12)) for _ in range(20)]
+        ws += [[], list(x), list(invert(p, x))]
+        got = list(_products(p, x, ws))
+        assert got == [multiply(p, x, w) for w in ws]
+        assert [g.syllables for g in got] == [stack_normal_form(p, list(x) + w) for w in ws]
+        assert all(type(g) is NormalWord for g in got)
+        assert list(_products(p, IDENTITY, ws)) == [normal_form(p, w) for w in ws]
+
+
+def test_products_reject_unknown_vertex():
+    # in the left factor, in a later right factor, and with a zero exponent
+    x = NormalWord((Syllable("a", 1), Syllable("zzz", 1)))
+    b = generator(PSL, "b")
+    for left, ws, name in [(x, [b], "zzz"), (b, [b, [("a", 1), ("qqq", 2)]], "qqq"),
+                           (IDENTITY, [[("qqq", 0)]], "qqq")]:
+        with pytest.raises(PresentationError, match=f"unknown vertex '{name}'"):
+            list(_products(PSL, left, ws))
 
 
 def test_syllable_objects_shared_per_value():
