@@ -8,15 +8,15 @@ Gamma - St(v) by v.  The pure automorphism group is generated by the last
 three families; it has finite index in the full automorphism group, so norms
 computed against it are bi-Lipschitz the Aut-invariant ones.
 
-Orbits of word sets under a generator list are enumerated breadth-first with
-canonical-form deduplication, truncated by composition depth and by a cap on
-the exponent weight of images.  Truncation only shrinks the orbit, so norms
+Orbits are enumerated breadth-first by ``words._bfs``, truncated by depth and
+by a cap on the exponent weight of images, as a tuple in discovery order,
+independent of the hash seed.  Truncation only shrinks the orbit, so norms
 computed from a truncated orbit are upper bounds.  A generator fixes, in both
 directions, every word that avoids the vertices it moves: v for a factor
 automorphism or transvection of v, K for a partial conjugation of K, and (as
 ``orbit`` counts it) every vertex for a graph symmetry; ``orbit`` skips those
 pairs.  A factor image needs no renormalising: a unit keeps each exponent
-nonzero and each syllable in place, and the canonical order reads vertices only.
+nonzero and each syllable in place; the canonical order reads vertices only.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 
 from . import classes as cl
 from .presentation import Presentation, PresentationError, _factorization
-from .words import NormalWord, Syllable, exponent_weight, normal_form
+from .words import NormalWord, Syllable, _bfs, exponent_weight, normal_form
 
 LABELLED_GRAPH = "LABELLED_GRAPH"
 FACTOR = "FACTOR"
@@ -219,9 +219,9 @@ def apply_gen(p: Presentation, g: AutGen, x: NormalWord, inverse: bool = False) 
 
 @dataclass(frozen=True)
 class OrbitSet:
-    """Truncated closure of a seed set under generators and their inverses."""
+    """Truncated closure of seeds under generators and inverses, in discovery order."""
 
-    elements: frozenset[NormalWord]
+    elements: tuple[NormalWord, ...]
     frontier_exhausted: bool
     depth_used: int
     length_cap: int
@@ -242,33 +242,25 @@ def orbit(
     Images whose exponent weight exceeds length_cap are discarded (truncation
     is recorded, not an error).  frontier_exhausted is True iff a round added
     no new elements before the depth budget ran out, i.e. the returned set is
-    closed under the generators within the cap.
+    closed under the generators within the cap.  The elements come in the
+    discovery order of ``words._bfs``, which does not depend on the hash seed.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    start = [normal_form(p, s) for s in seeds]
-    frontier = [s for s in dict.fromkeys(start) if exponent_weight(s) <= length_cap]
-    elements: set[NormalWord] = set(frontier)
-    exhausted = not frontier
-    depth_used = 0
     moved = [(g, p._mask(p.vertex_ids if g.kind == LABELLED_GRAPH
                          else g.component or (g.vertex,))) for g in gens]
-    for _ in range(depth):
-        new: list[NormalWord] = []
-        for x in frontier:
-            support = p._mask(v for v, _ in x)
-            for g, mask in moved:
-                if not mask & support:  # g fixes x: its images are x itself
-                    continue
-                for inv in (False, True):
-                    y = apply_gen(p, g, x, inverse=inv)
-                    if y in elements or exponent_weight(y) > length_cap:
-                        continue
-                    elements.add(y)
-                    new.append(y)
-        if not new:
-            exhausted = True
-            break
-        depth_used += 1
-        frontier = new
-    return OrbitSet(frozenset(elements), exhausted, depth_used, length_cap)
+
+    def images(x: NormalWord):
+        support = p._mask(v for v, _ in x)
+        for g, mask in moved:
+            if mask & support:  # else g fixes x: its images are x itself
+                yield apply_gen(p, g, x)
+                yield apply_gen(p, g, x, inverse=True)
+
+    def within_cap(y: NormalWord) -> bool:
+        return exponent_weight(y) <= length_cap
+
+    dist, exhausted, depth_used = _bfs(
+        dict.fromkeys(filter(within_cap, (normal_form(p, s) for s in seeds)), 0),
+        images, depth, within_cap)
+    return OrbitSet(tuple(dist), exhausted, depth_used, length_cap)

@@ -216,18 +216,12 @@ def cmd_distortion(ns: argparse.Namespace) -> int:
     x = word(ns.word)
     cert = None
     if ns.cert:
-        cert_path = Path(ns.cert)
-        if cert_path.exists():
-            cert = _verified_cert(p, ns.cert)
-            if cert is None:
-                return 2
-        else:
-            verdict = classifier.classify(p)
-            cert = verdict.certificate
-            cert_path.write_text(
-                json.dumps(classifier.certificate_to_obj(cert), indent=2, sort_keys=True)
-                + "\n"
-            )
+        if not Path(ns.cert).exists():  # written first, then verified like any other
+            obj = classifier.certificate_to_obj(classifier.classify(p).certificate)
+            Path(ns.cert).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+        cert = _verified_cert(p, ns.cert)
+        if cert is None:
+            return 2
     orb = _orbit_for(p, word, ns)
     rows = distortion_table(p, x, cert, ns.nmax, orb, ns.radius)
     _custom_orbit(ns)

@@ -6,9 +6,10 @@ set, so any factorization found is a genuine upper bound, and failure within
 the radius is reported as UNKNOWN (None), never converted into a claim.
 
 One rule answers every radius r.  ``norm_ball`` builds the ball B_h of
-radius h = ceil(r/2) by breadth-first search, one frontier word times every
-generator per step, and ``norm_upper`` reads x from it, or else scans w in
-it for the least d(w) + d(x^-1 w) with x^-1 w in it.  This is exact: a
+radius h = ceil(r/2) by the orbit's breadth-first search, ``words._bfs``, one
+frontier word times every generator per step, in that search's discovery
+order.  ``norm_upper`` reads x from it, or else scans w in it for the least
+d(w) + d(x^-1 w) with x^-1 w in it.  This is exact: a
 factorization of length n <= r <= 2h splits as w * (x^-1 w)^-1 with both
 parts of length at most h.  The scan stops as soon as the total reaches
 m + 1, where m is the largest distance in the ball, because an x outside
@@ -32,7 +33,7 @@ from fractions import Fraction
 from .classifier import BOUNDED_DECOMPOSITION, CITATION, HOMOMORPHISM, SPLIT_QM
 from .presentation import Presentation
 from .quasimorphisms import homogenize
-from .words import IDENTITY, NormalWord, _products, invert, multiply, retract
+from .words import IDENTITY, NormalWord, _bfs, _products, invert, multiply, retract
 
 
 def _ball(p: Presentation, gens: list[NormalWord], radius: int) -> dict[NormalWord, int]:
@@ -40,19 +41,8 @@ def _ball(p: Presentation, gens: list[NormalWord], radius: int) -> dict[NormalWo
     sym = dict.fromkeys(gens)
     for g in gens:
         sym.setdefault(invert(p, g))
-    frontier = [g for g in sym if g] if radius >= 1 else []
-    dist = {IDENTITY: 0, **dict.fromkeys(frontier, 1)}
-    for d in range(2, radius + 1):
-        new = []
-        for x in frontier:
-            for y in _products(p, x, sym):
-                if y not in dist:
-                    dist[y] = d
-                    new.append(y)
-        if not new:
-            break
-        frontier = new
-    return dist
+    layer1 = dict.fromkeys((g for g in sym if g), 1) if radius >= 1 else {}
+    return _bfs({IDENTITY: 0, **layer1}, lambda x: _products(p, x, sym), radius - 1)[0]
 
 
 def norm_ball(p: Presentation, gens, radius: int) -> dict[NormalWord, int]:

@@ -64,7 +64,7 @@ are arbitrary nonzero integers.
 from __future__ import annotations
 
 from itertools import groupby
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .presentation import Presentation, PresentationError
 
@@ -146,6 +146,30 @@ def _products(p: Presentation, xs: tuple[Syllable, ...], ws: Iterable) -> Iterat
                 ss.insert(k, syl if type(syl) is Syllable and syl.exponent == e
                           else made.get((name, e)) or made.setdefault((name, e), Syllable(name, e)))
         yield NormalWord(ss)
+
+
+def _bfs(dist: dict, expand: Callable, rounds: int, keep: Callable | None = None) -> tuple:
+    """Breadth-first search from the last layer of ``dist``, an insertion-ordered
+    map word -> distance.  Each round enters at d + 1, in order, each new y of
+    ``expand(x)`` that passes ``keep``, x in the last layer at d: the order of
+    ``dist`` depends only on its start, ``expand`` and the words.  Returns
+    (dist, exhausted, rounds_used): rounds_used counts the rounds, at most
+    ``rounds``, that added a word; exhausted is True iff a layer (the start's
+    included) came out empty, so dist is closed under ``expand`` and ``keep``."""
+    d = max(dist.values(), default=0)
+    frontier = [x for x, dx in dist.items() if dx == d]
+    used = 0
+    while frontier and used < rounds:
+        d += 1
+        new = []
+        for x in frontier:
+            for y in expand(x):
+                if y not in dist and (keep is None or keep(y)):
+                    dist[y] = d
+                    new.append(y)
+        used += bool(new)
+        frontier = new
+    return dist, not frontier, used
 
 
 def invert(p: Presentation, x: NormalWord) -> NormalWord:

@@ -98,7 +98,7 @@ def test_criterion_2_z2_norm_at_most_2():
     tv_ba = [g for g in aut0_generators(p) if g.literal() == "tv(b,a)"]
     o1 = orbit(p, [generator(p, "a")], tv_ab, 51, 52)
     o2 = orbit(p, [generator(p, "b")], tv_ba, 51, 52)
-    gens = list(o1.elements | o2.elements)
+    gens = list(dict.fromkeys(o1.elements + o2.elements))
     ball = norm_ball(p, gens, 2)
     for m in range(-50, 51):
         for n in range(-50, 51):

@@ -214,7 +214,7 @@ def test_orbit_exhaustion_and_caps():
     p = pres({"a": 5})
     orb = orbit(p, [generator(p, "a")], aut0_generators(p), 10, 10)
     assert orb.frontier_exhausted
-    assert orb.elements == {generator(p, "a", k) for k in (1, 2, 3, 4)}
+    assert set(orb.elements) == {generator(p, "a", k) for k in (1, 2, 3, 4)}
     empty = orbit(p, [], aut0_generators(p), 3, 5)
     assert empty.frontier_exhausted and not empty.elements
     with pytest.raises(ValueError):
@@ -235,7 +235,10 @@ def test_orbit_independent_of_generator_order():
         seeds = [generator(p, v) for v in p.vertex_ids]
         gens = aut0_generators(p)
         want = orbit(p, seeds, gens, 3, 8)
-        assert orbit(p, seeds[::-1], gens[::-1], 3, 8) == want, name
+        got = orbit(p, seeds[::-1], gens[::-1], 3, 8)
+        assert set(got.elements) == set(want.elements), name
+        assert (got.frontier_exhausted, got.depth_used) == (
+            want.frontier_exhausted, want.depth_used), name
 
 
 def test_transvection_on_long_power(path_raag):
@@ -250,10 +253,11 @@ def test_transvection_on_long_power(path_raag):
 
 def referee_orbit(p, seeds, gens, depth, cap):
     """BFS closure that calls apply_gen on every frontier word, generator and
-    direction, skipping none; the same insertion order as ``orbit``."""
+    direction, skipping none; its elements, in insertion order, are the
+    discovery order ``orbit`` must give."""
     start = dict.fromkeys(normal_form(p, s) for s in seeds)
     frontier = [s for s in start if exponent_weight(s) <= cap]
-    elements = set(frontier)
+    elements = dict.fromkeys(frontier)
     exhausted, depth_used = not frontier, 0
     for _ in range(depth):
         new = []
@@ -262,14 +266,14 @@ def referee_orbit(p, seeds, gens, depth, cap):
                 for inv in (False, True):
                     y = apply_gen(p, g, x, inverse=inv)
                     if y not in elements and exponent_weight(y) <= cap:
-                        elements.add(y)
+                        elements[y] = None
                         new.append(y)
         if not new:
             exhausted = True
             break
         depth_used += 1
         frontier = new
-    return frozenset(elements), exhausted, depth_used
+    return tuple(elements), exhausted, depth_used
 
 
 def referee_cases():
@@ -303,11 +307,12 @@ def test_orbit_matches_referee_bfs():
     for name, p, seeds in referee_cases():
         gens = aut0_generators(p) + graph_symmetries(p)
         swaps += sum(g.kind == LABELLED_GRAPH for g in gens) - 1
-        got = orbit(p, seeds, gens, 2, 8)
-        want, exhausted, depth_used = referee_orbit(p, seeds, gens, 2, 8)
-        assert got.elements == want, name
-        assert list(got.elements) == list(want), name
-        assert (got.frontier_exhausted, got.depth_used) == (exhausted, depth_used), name
+        for depth in (0, 1, 2):
+            got = orbit(p, seeds, gens, depth, 8)
+            want, exhausted, depth_used = referee_orbit(p, seeds, gens, depth, 8)
+            assert list(got.elements) == list(want), (name, depth)
+            assert (got.frontier_exhausted, got.depth_used) == (
+                exhausted, depth_used), (name, depth)
     assert swaps > 20
 
 

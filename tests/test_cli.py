@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from gpnorm import classify, named_presentation
-from gpnorm.classifier import verdict_to_obj
+from gpnorm import classifier, classify, named_presentation
+from gpnorm.classifier import verdict_from_obj, verdict_to_obj
 from gpnorm.cli import build_parser, main
 from gpnorm.corpus import gen_corpus
 
@@ -264,6 +264,34 @@ def test_norm_and_distortion_verify_certificate_first(tmp_path, capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert len(err.strip().splitlines()) == 1 and "split-defect-constant" in err
+
+
+def test_distortion_verifies_the_certificate_it_writes(tmp_path, capsys, monkeypatch):
+    """With no file at --cert, distortion writes classify's certificate and
+    then verifies it like a given one: a false certificate exits 2."""
+    graph = tmp_path / "c4c4.json"
+    graph.write_text(json.dumps({"vertices": [{"id": "a", "order": 4}, {"id": "b", "order": 4}]}))
+    calls = []
+    verify = classifier.verify_certificate
+    monkeypatch.setattr(classifier, "verify_certificate",
+                        lambda p, v: calls.append(v) or verify(p, v))
+    cert = tmp_path / "c4c4.cert"
+    argv = ["distortion", str(graph), "a b", "--cert", str(cert), "--nmax", "2", "--radius", "2"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and cert.exists() and len(calls) == 1
+    assert run(capsys, *argv) == (0, out, "") and len(calls) == 2
+    # an understated defect, as classify's own answer, would give lower 100
+    real = classify
+
+    def forged(p):
+        obj = verdict_to_obj(real(p))
+        obj["certificate"]["payload"]["defect"] = "1/100"
+        return verdict_from_obj(p, obj)
+    monkeypatch.setattr(classifier, "classify", forged)
+    cert.unlink()
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and len(calls) == 3
+    assert len(err.strip().splitlines()) == 1 and "split-defect-constant" in err
 
 
 # (field of the c2c2c2 certificate, tampered value, exit code, the failed

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -209,3 +213,44 @@ def test_norm_lower_positive_zero_or_refused(psl, z2):
     assert norm_lower(psl, generator(psl, "a"), psl_cert) == 0
     with pytest.raises(ValueError):
         norm_lower(z2, generator(z2, "a"), classify(z2).certificate)
+
+
+# counts every product ``words._products`` yields (also through ``norms``) per
+# shape: the orbit, one radius-4 ball, and 30 seeded queries that reuse it
+COUNT_PRODUCTS = """
+import random, sys
+from gpnorm import (aut0_generators, expand_to_primary, generator, named_presentation,
+                    norm_ball, norm_upper, norms, orbit, words)
+from gpnorm.corpus import random_word
+
+products, count = words._products, 0
+def counted(*args):
+    global count
+    for y in products(*args):
+        count += 1
+        yield y
+words._products = norms._products = counted
+for name in sys.argv[1:]:
+    count, rng = 0, random.Random(16)
+    p = expand_to_primary(named_presentation(name))
+    orb = orbit(p, [generator(p, v) for v in p.vertex_ids], aut0_generators(p), 2, 8)
+    ball = norm_ball(p, orb, 4)
+    answers = [norm_upper(p, random_word(p, rng, 6), orb, 4, ball=ball) for _ in range(30)]
+    print(name, count, answers)
+"""
+
+
+def test_norm_work_independent_of_hash_seed():
+    """The orbit, and with it the ball, come in discovery order, so the work
+    behind each answer repeats under every hash seed, not only the answers."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", COUNT_PRODUCTS, "c2c2c2", "path_raag", "f2", "c6_star_z"],
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+            capture_output=True, text=True, timeout=60, check=True,
+        ).stdout
+        for seed in ("0", "1", "2")
+    ]
+    assert len(runs[0].splitlines()) == 4
+    assert runs[0] == runs[1] == runs[2]
