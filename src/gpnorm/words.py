@@ -59,6 +59,10 @@ free-product split, so each run is already reduced and lex-least.
 
 Finite-order exponents are stored in {1, ..., n-1}; infinite-order exponents
 are arbitrary nonzero integers.
+
+``power`` squares and multiplies left to right, from the top bit of n: O(log n)
+products that insert about |x^n| + popcount(n)*|x| syllables (see its
+docstring).
 """
 
 from __future__ import annotations
@@ -99,9 +103,12 @@ def normal_form(p: Presentation, word) -> NormalWord:
 def multiply(p: Presentation, x: NormalWord, y: NormalWord) -> NormalWord:
     """Canonical form of x*y for canonical x and y."""
     if not x or not y:
-        for v, _ in x or y:
+        z = x or y
+        if not isinstance(z, NormalWord):
+            return normal_form(p, z)
+        for v, _ in z:
             p.index(v)  # raises on a vertex not in p
-        return x or y
+        return z
     return next(_products(p, x, (y,)))
 
 
@@ -177,16 +184,18 @@ def invert(p: Presentation, x: NormalWord) -> NormalWord:
 
 
 def power(p: Presentation, x: NormalWord, n: int) -> NormalWord:
-    """x**n by square-and-multiply."""
+    """x**n by left-to-right square-and-multiply: for each bit of n from the
+    top, square the accumulator, then multiply it by x if the bit is set.
+    That is bit_length(n) + popcount(n) products, and they feed about
+    |x^n| + popcount(n)*|x| syllables to ``_products``: the last squaring
+    feeds x^(n//2), the one before it x^(n//4), and so on."""
     if n < 0:
         return power(p, invert(p, x), -n)
     acc = IDENTITY
-    base = x
-    while n:
-        if n & 1:
-            acc = multiply(p, acc, base)
-        base = multiply(p, base, base)
-        n >>= 1
+    for i in reversed(range(n.bit_length())):
+        acc = multiply(p, acc, acc)
+        if n >> i & 1:
+            acc = multiply(p, acc, x)
     return acc
 
 

@@ -1,6 +1,7 @@
 """Normal-form tests, including a brute-force shuffle-class oracle."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -11,10 +12,12 @@ from gpnorm import (
     NormalWord,
     Syllable,
     commutator,
+    expand_to_primary,
     exponent_weight,
     generator,
     invert,
     multiply,
+    named_presentation,
     normal_form,
     parse_presentation,
     parse_word,
@@ -22,6 +25,8 @@ from gpnorm import (
     retract,
     word_literal,
 )
+from gpnorm import words
+from gpnorm.corpus import NAMED
 from gpnorm.presentation import PresentationError
 from gpnorm.words import _products
 
@@ -353,6 +358,70 @@ def test_multiply_rejects_unknown_vertex():
     for left, right in [(x, b), (b, x), (IDENTITY, x), (x, IDENTITY)]:
         with pytest.raises(PresentationError):
             multiply(PSL, left, right)
+
+
+def test_multiply_by_identity_canonicalises_a_raw_factor():
+    p = parse_presentation({"vertices": [{"id": "v0", "order": 5}], "edges": []})
+    raw = [("v0", -7), ("v0", -9)]
+    want = normal_form(p, raw)
+    assert want.syllables == (Syllable("v0", 4),)
+    for got in (multiply(p, IDENTITY, raw), multiply(p, raw, IDENTITY)):
+        assert got == want and type(got) is NormalWord
+    assert multiply(p, IDENTITY, [("v0", 5)]) == IDENTITY
+
+
+def power_referee_cases():
+    """(presentation, word) pairs: three random words on each named shape
+    and on seeded random graph products, orders in {2, 3, 4, inf}, densities
+    from 0 to 1."""
+    rng = random.Random("power-referee")
+    shapes = [expand_to_primary(named_presentation(name)) for name in sorted(NAMED)]
+    shapes += [random_presentation(rng, rng.randint(1, 6), density)
+               for density in (0, 0.25, 0.5, 0.75, 1) for _ in range(3)]
+    for p in shapes:
+        ids = p.vertex_ids
+        for _ in range(3):
+            raw = [(rng.choice(ids), rng.choice([-3, -2, -1, 1, 2, 3]))
+                   for _ in range(rng.randint(1, 5))]
+            yield p, normal_form(p, raw)
+
+
+def test_power_matches_repeated_multiply():
+    for p, x in power_referee_cases():
+        for step, ns in ((x, range(41)), (invert(p, x), range(0, -13, -1))):
+            acc = IDENTITY
+            for n in ns:
+                assert power(p, x, n) == acc, (p.vertex_ids, x, n)
+                acc = multiply(p, acc, step)
+
+
+def test_power_huge_exponents():
+    c5 = parse_presentation({"vertices": [{"id": "a", "order": 5}], "edges": []})
+    z = parse_presentation({"vertices": [{"id": "a", "order": "inf"}], "edges": []})
+    for p, n, want in [(c5, 2**61 + 3, IDENTITY), (z, 10**18, (("a", 10**18),))]:
+        t0 = time.perf_counter()
+        got = power(p, generator(p, "a"), n)
+        assert time.perf_counter() - t0 < 0.1
+        assert got == want
+
+
+@pytest.mark.parametrize("n", [240, 1000, 1023, 1024])
+def test_power_feeds_about_one_copy_of_the_result(monkeypatch, n):
+    # left to right, the squarings feed x^(n//2), x^(n//4), ... and the
+    # multiplications by x feed popcount(n) copies of x: at most
+    # |x| (n + bit_length(n)) syllables in all
+    fed = []
+
+    def counting(p, xs, ws):
+        ws = list(ws)
+        fed.extend(len(w) for w in ws)
+        return _products(p, xs, ws)
+
+    monkeypatch.setattr(words, "_products", counting)
+    x = parse_word(PSL, "a b")
+    got = power(PSL, x, n)
+    assert got == x * n
+    assert sum(fed) <= len(x) * (n + n.bit_length())
 
 
 @pytest.mark.parametrize("seed", range(10))
