@@ -17,6 +17,16 @@ automorphism or transvection of v, K for a partial conjugation of K, and (as
 ``orbit`` counts it) every vertex for a graph symmetry; ``orbit`` skips those
 pairs.  A factor image needs no renormalising: a unit keeps each exponent
 nonzero and each syllable in place; the canonical order reads vertices only.
+
+``orbit`` prepares each generator once per call (its moved mask, and the
+maps that build its images) and makes all the other images of one frontier
+word canonical in one ``words._products`` pass, not one ``normal_form``
+call per image.  A generator that is its own inverse gives one image, since
+both directions agree: a factor automorphism with m^2 = 1 mod n (m = -1 on
+an infinite vertex), a transvection with w^(2q) = 1, a partial conjugation
+by a vertex of order 2, and an involutive graph symmetry.  Neither rule
+changes the orbit or its order: a skipped image equals one already made.
+``apply_gen`` gives the same image: ``normal_form`` of the same raw word.
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ from typing import Iterable, Sequence
 
 from . import classes as cl
 from .presentation import Presentation, PresentationError, _factorization
-from .words import NormalWord, Syllable, _bfs, exponent_weight, normal_form
+from .words import NormalWord, Syllable, _bfs, _products, exponent_weight, normal_form
 
 LABELLED_GRAPH = "LABELLED_GRAPH"
 FACTOR = "FACTOR"
@@ -174,47 +184,66 @@ def aut0_generators(p: Presentation) -> list[AutGen]:
     return gens
 
 
-def apply_gen(p: Presentation, g: AutGen, x: NormalWord, inverse: bool = False) -> NormalWord:
-    """Image of the canonical x under one generator (or its inverse)."""
+def _prepared(p: Presentation, g: AutGen) -> tuple[int, bool, list]:
+    """g made ready to apply to many words: (moved, direct, maps).  ``moved``
+    is the mask of the vertices g moves; ``maps`` holds the image map of g
+    and then that of g^-1, or only the first when g is its own inverse.  A
+    map takes a canonical x to its canonical image if ``direct`` (FACTOR),
+    else to the raw word that ``normal_form`` makes canonical."""
     if g.kind == FACTOR:
-        n = p.order(g.vertex)
-        # on an infinite vertex the unit is +-1, its own inverse
-        m = pow(g.unit, -1, n) if inverse and n is not None else g.unit
-        return NormalWord([  # canonical as it stands: see the module docstring
-            Syllable(g.vertex, s.exponent * m % n if n else s.exponent * m)
-            if s.vertex == g.vertex else s for s in x
-        ])
+        v, n, m = g.vertex, p.order(g.vertex), g.unit
+        inverse = m if n is None else pow(m, -1, n)  # m = +-1 on an infinite vertex
+
+        def image(u):
+            return lambda x: NormalWord([  # canonical as it stands: see the module docstring
+                Syllable(v, s.exponent * u % n if n else s.exponent * u)
+                if s.vertex == v else s for s in x
+            ])
+        return p._mask((v,)), True, [image(u) for u in dict.fromkeys((m, inverse))]
     if g.kind == TRANSVECTION:
         v, w = g.vertex, g.target
-        q = transvection_exponent(p, v, w) * (-1 if inverse else 1)
-        commute = p.has_edge(v, w)
-        out: list[Syllable] = []
-        for s in x:
-            e = s.exponent
-            if s.vertex != v:
-                out.append(s)
-            elif commute:  # (v w^q)^e = v^e w^(qe)
-                out += (Syllable(v, e), Syllable(w, q * e))
-            else:  # (v w^q)^e, written (w^-q v^-1)^|e| when e < 0
-                out += ((Syllable(v, 1), Syllable(w, q)) if e > 0
-                        else (Syllable(w, -q), Syllable(v, -1))) * abs(e)
-        return normal_form(p, out)
+        q, nw, commute = transvection_exponent(p, v, w), p.order(w), p.has_edge(v, w)
+        involution = nw is not None and 2 * q % nw == 0  # w^(2q) = 1
+
+        def image(q):
+            def transvect(x):
+                out: list[Syllable] = []
+                for s in x:
+                    e = s.exponent
+                    if s.vertex != v:
+                        out.append(s)
+                    elif commute:  # (v w^q)^e = v^e w^(qe)
+                        out += (Syllable(v, e), Syllable(w, q * e))
+                    else:  # (v w^q)^e, written (w^-q v^-1)^|e| when e < 0
+                        out += ((Syllable(v, 1), Syllable(w, q)) if e > 0
+                                else (Syllable(w, -q), Syllable(v, -1))) * abs(e)
+                return out
+            return transvect
+        return p._mask((v,)), False, [image(q) for q in ((q,) if involution else (q, -q))]
     if g.kind == PARTIAL_CONJ:
-        c = -1 if inverse else 1
-        K = set(g.component)
-        out = []
-        for s in x:
-            if s.vertex in K:
-                out += (Syllable(g.vertex, c), s, Syllable(g.vertex, -c))
-            else:
-                out.append(s)
-        return normal_form(p, out)
+        v, K = g.vertex, set(g.component)
+
+        def image(c):
+            a, b = Syllable(v, c), Syllable(v, -c)
+            return lambda x: [t for s in x for t in ((a, s, b) if s.vertex in K else (s,))]
+        return p._mask(K), False, [image(c) for c in ((1,) if p.order(v) == 2 else (1, -1))]
     if g.kind == LABELLED_GRAPH:
         perm = dict(g.permutation)
-        if inverse:
-            perm = {b: a for a, b in perm.items()}
-        return normal_form(p, [Syllable(perm[v], e) for v, e in x])
+        inverse = {b: a for a, b in perm.items()}
+
+        def image(perm):
+            return lambda x: [Syllable(perm[v], e) for v, e in x]
+        # counted as moving every vertex
+        return p._mask(p.vertex_ids), False, [image(perm) for perm in (
+            (perm,) if inverse == perm else (perm, inverse))]
     raise ValueError(f"unknown generator kind {g.kind!r}")
+
+
+def apply_gen(p: Presentation, g: AutGen, x: NormalWord, inverse: bool = False) -> NormalWord:
+    """Image of the canonical x under one generator (or its inverse)."""
+    _, direct, maps = _prepared(p, g)
+    y = maps[-1 if inverse else 0](x)
+    return y if direct else normal_form(p, y)
 
 
 @dataclass(frozen=True)
@@ -247,15 +276,16 @@ def orbit(
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    moved = [(g, p._mask(p.vertex_ids if g.kind == LABELLED_GRAPH
-                         else g.component or (g.vertex,))) for g in gens]
+    prepared = [_prepared(p, g) for g in gens]
 
     def images(x: NormalWord):
         support = p._mask(v for v, _ in x)
-        for g, mask in moved:
-            if mask & support:  # else g fixes x: its images are x itself
-                yield apply_gen(p, g, x)
-                yield apply_gen(p, g, x, inverse=True)
+        # a generator that moves no vertex of x fixes it in both directions
+        live = [(direct, f) for moved, direct, maps in prepared if moved & support
+                for f in maps]
+        canonical = _products(p, (), [f(x) for direct, f in live if not direct])
+        for direct, f in live:
+            yield f(x) if direct else next(canonical)
 
     def within_cap(y: NormalWord) -> bool:
         return exponent_weight(y) <= length_cap

@@ -17,6 +17,28 @@ B_m has norm at least m + 1.  So a query costs one B_h build plus at most
 one scan of it, and a ball reused across many queries costs one scan per
 query outside it.
 
+The ball inverts all the generators in one ``words._products`` pass, and two
+rules drop products from the search without changing its result: the keys,
+distances and order are those of one product per (frontier word, generator)
+pair.  Below, a first syllable of a canonical word is one that commutes with
+every syllable before it, and the star of a vertex is its link plus itself.
+
+* Concatenation: x s is the concatenation x + s when no first syllable of
+  s has the vertex of x's final syllable f in its star.  Every first
+  syllable of s then depends on f, so every syllable of s lies above f in the heap order
+  (Cartier-Foata; Diekert-Rozenberg, The Book of Traces, 1995): the
+  lex-least order emits x as it stands, f last, and then s.  Nothing
+  merges: a syllable a of s and a syllable b of x of one vertex are
+  separated in the heap by f if a is first (b != f depends on f), else by
+  a syllable of s before a that a depends on, which then depends on b too.
+  The stars of each generator's first syllables are one bitmask, made once
+  per ball.
+* Skip: in the first round, where x is a generator t, the product t t^-1 is
+  the identity, and an s listed before t whose vertices all lie in the star
+  of every vertex of t commutes with t.  Then t s = s t, which the search
+  entered when it expanded s: s precedes t in the first layer's discovery
+  order.
+
 Lower bounds come only from exact certificates.  For a product of n orbit
 elements, |qbar(x)| <= n * B + (n-1) * D <= n (B + D) where B bounds |qbar|
 on the orbit and D is the homogenized defect, so |qbar(x)| / (B + D) bounds
@@ -29,6 +51,8 @@ analytic defect.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from operator import and_
 
 from .classifier import BOUNDED_DECOMPOSITION, CITATION, HOMOMORPHISM, SPLIT_QM
 from .presentation import Presentation
@@ -36,18 +60,56 @@ from .quasimorphisms import homogenize
 from .words import IDENTITY, NormalWord, _bfs, _products, invert, multiply, retract
 
 
+def _first_stars(p: Presentation, s) -> int:
+    """Mask of the stars (the link plus the vertex itself) of the first
+    syllables of a canonical word s: those that commute with every syllable
+    before them."""
+    index, adj = p._index, p._adj_mask
+    seen = stars = 0
+    for v, _ in s:
+        i = index[v]
+        if not seen & ~adj[i]:
+            stars |= adj[i] | 1 << i
+        seen |= 1 << i
+    return stars
+
+
 def _ball(p: Presentation, gens: list[NormalWord], radius: int) -> dict[NormalWord, int]:
-    """Distances from the identity in the (gens + inverses)-ball."""
-    sym = dict.fromkeys(gens)
-    for g in gens:
-        sym.setdefault(invert(p, g))
-    layer1 = dict.fromkeys((g for g in sym if g), 1) if radius >= 1 else {}
-    return _bfs({IDENTITY: 0, **layer1}, lambda x: _products(p, x, sym), radius - 1)[0]
+    """Distances from the identity in the (gens + inverses)-ball, built by the
+    two rules of the module docstring."""
+    invs = list(_products(p, (), [[(v, -e) for v, e in reversed(g)] for g in gens]))
+    sym = list(dict.fromkeys(gens + invs))
+    ball = {IDENTITY: 0, **dict.fromkeys((g for g in sym if g), 1)}
+    if radius < 2:
+        return ball
+    index, adj = p._index, p._adj_mask
+    inverse = {**dict(zip(invs, gens)), **dict(zip(gens, invs))}
+    position = {t: k for k, t in enumerate(sym)}
+    rights = [(s, _first_stars(p, s)) for s in sym]
+    supports = [p._mask(v for v, _ in s) for s in sym]
+
+    def expand(x: NormalWord):
+        final = 1 << index[x[-1][0]]
+        k = position.get(x)  # x is a generator only in the first round
+        if k is None:
+            tried = rights
+        else:  # skip x^-1 and every earlier s inside the stars of x's vertices
+            centre = reduce(and_, (adj[i] | 1 << i for i in {index[v] for v, _ in x}))
+            inv = position[inverse[x]]
+            tried = [r for j, r in enumerate(rights)
+                     if j != inv and (j >= k or supports[j] & ~centre)]
+        products = _products(p, x, [s for s, stars in tried if stars & final])
+        for s, stars in tried:
+            yield next(products) if stars & final else NormalWord(x + s)
+
+    return _bfs(ball, expand, radius - 1)[0]
 
 
 def norm_ball(p: Presentation, gens, radius: int) -> dict[NormalWord, int]:
     """The ball of radius ceil(radius/2) that ``norm_upper`` reads at this
     radius, as distances from the identity; reusable across queries."""
+    if radius < 1:
+        raise ValueError("radius must be >= 1")
     elements = getattr(gens, "elements", gens)  # an OrbitSet or a word list
     return _ball(p, [g for g in elements if g], (radius + 1) // 2)
 

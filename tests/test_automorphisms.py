@@ -30,6 +30,7 @@ from gpnorm.automorphisms import (
     FACTOR,
     LABELLED_GRAPH,
     TRANSVECTION,
+    _prepared,
     _unit_group_generators,
     transvection_exponent,
 )
@@ -340,3 +341,24 @@ def test_factor_and_transvection_images_match_referee():
                         continue
                     assert got == want, (name, g.literal(), inv, word_literal(x))
                     assert all(type(s) is Syllable for s in got)
+
+
+def test_orbit_applies_an_involution_once():
+    # a factor automorphism with m^2 = 1, a transvection with w^(2q) = 1, a
+    # partial conjugation by an order-2 vertex and an involutive graph
+    # symmetry are their own inverses: orbit applies each in one direction;
+    # every other generator moves some vertex generator off itself when
+    # applied twice
+    rng = random.Random(18)
+    involutions = 0
+    for name, p, _ in referee_cases():
+        vertices = [generator(p, v) for v in p.vertex_ids]
+        words = vertices + [random_word(p, rng, 5) for _ in range(3)]
+        for g in aut0_generators(p) + graph_symmetries(p):
+            twice = [apply_gen(p, g, apply_gen(p, g, x)) for x in words]
+            if len(_prepared(p, g)[2]) == 1:
+                involutions += 1
+                assert twice == words, (name, g.literal())
+            else:
+                assert twice[:len(vertices)] != vertices, (name, g.literal())
+    assert involutions > 100

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -24,7 +25,9 @@ from gpnorm import (
     parse_word,
     power,
 )
-from gpnorm.norms import _ball
+from gpnorm import automorphisms, norms, words
+from gpnorm.corpus import random_word
+from gpnorm.norms import _ball, _first_stars
 
 
 def pres(orders, edges=()):
@@ -128,6 +131,59 @@ def test_norm_ball_matches_multiply_bfs():
             assert list(norm_ball(p, orb, radius).items()) == list(want.items()), name
 
 
+def random_graph_product(rng):
+    """2-6 vertices of orders 2, 3, 4 or infinity, with an edge density drawn
+    from [0, 1]."""
+    n, density = rng.randint(2, 6), rng.random()
+    edges = [(f"v{i}", f"v{j}") for i in range(n) for j in range(i + 1, n)
+             if rng.random() < density]
+    return pres({f"v{i}": rng.choice((2, 3, 4, None)) for i in range(n)}, edges)
+
+
+def test_concatenation_rule_matches_multiply():
+    """The ball's shortcut: x*s is the tuple x + s when no first syllable of s
+    has x's final vertex in its star (the vertex and its link)."""
+    rng = random.Random(18)
+    fired = 0
+    for k in range(100):
+        p = random_graph_product(rng)
+        free = pres({v: p.order(v) for v in p.vertex_ids})
+        for q in (p, free):
+            for _ in range(100):
+                x, s = random_word(q, rng, 6), random_word(q, rng, 6)
+                if not x:
+                    continue
+                concatenates = not _first_stars(q, s) & 1 << q.index(x[-1].vertex)
+                if q is free:  # the rule fires exactly when nothing could merge
+                    assert concatenates == (not s or s[0].vertex != x[-1].vertex), (k, x, s)
+                if concatenates:
+                    fired += 1
+                    assert multiply(q, x, s) == x + s, (k, repr(q), x, s)
+    assert fired > 5000
+
+
+def test_norm_ball_matches_multiply_bfs_on_random_presentations():
+    """Random presentations with edges and finite orders, at radius 1-6:
+    from the second round on, frontier words meet every generator, and some
+    generators have commuting supports, so both ball rules are at work."""
+    rng = random.Random(19)
+    commuting = 0
+    for k in range(30):
+        p = random_graph_product(rng)
+        while not p.edges or all(p.order(v) is None for v in p.vertex_ids):
+            p = random_graph_product(rng)
+        gens = [g for g in dict.fromkeys([generator(p, v) for v in p.vertex_ids[:4]]
+                                         + [random_word(p, rng, 3) for _ in range(2)]) if g]
+        commuting += sum(g != h and all({v for v, _ in g} <= p.star(u) for u, _ in h)
+                         for g in gens for h in gens)
+        want = list(multiply_ball(p, gens, 3).items())
+        for radius in range(1, 7):
+            h = (radius + 1) // 2
+            got = list(norm_ball(p, gens, radius).items())
+            assert got == [(w, d) for w, d in want if d <= h], (k, repr(p), radius)
+    assert commuting > 0
+
+
 def test_norm_upper_mitm_equals_bfs_distance(psl):
     # the meet-in-the-middle scan reads u = x^-1 w at the distance of u^-1,
     # which relies on the half-radius ball being symmetric
@@ -147,6 +203,9 @@ def test_norm_upper_ball_reuse():
         assert norm_upper(p, x, orb, 2, ball=ball) == norm_upper(p, x, orb, 2)
     with pytest.raises(ValueError):
         norm_upper(p, IDENTITY, orb, 0)
+    for radius in (0, -1):  # a ball that no norm_upper call would accept
+        with pytest.raises(ValueError, match="radius must be >= 1"):
+            norm_ball(p, orb, radius)
 
 
 def test_norm_lower_homomorphism():
@@ -215,12 +274,49 @@ def test_norm_lower_positive_zero_or_refused(psl, z2):
         norm_lower(z2, generator(z2, "a"), classify(z2).certificate)
 
 
-# counts every product ``words._products`` yields (also through ``norms``) per
-# shape: the orbit, one radius-4 ball, and 30 seeded queries that reuse it
+def test_norm_work_counts(monkeypatch):
+    """The work behind a norm request, counted at ``words._products``: the
+    orbit starts one pass per word it expands, not one per image, and the two
+    ball rules keep the z2_x_dinf and c2c2c2 balls of radius 4 to about a
+    half and a third of the products of one pass per (word, generator) pair
+    (1,636 and 462 of them)."""
+    count = {"passes": 0, "products": 0}
+    products = words._products
+
+    def read(ys):
+        for y in ys:
+            count["products"] += 1
+            yield y
+
+    def counted(*args):
+        count["passes"] += 1  # on the call: a pass may yield nothing that is read
+        return read(products(*args))
+
+    for module in (words, norms, automorphisms):
+        monkeypatch.setattr(module, "_products", counted, raising=False)
+    for name, depth, cap, bound in (("z2_x_dinf", 3, 8, 830), ("c2c2c2", 2, 6, 150)):
+        p = expand_to_primary(named_presentation(name))
+        seeds, gens = [generator(p, v) for v in p.vertex_ids], aut0_generators(p)
+        count.update(passes=0, products=0)
+        orb = orbit(p, seeds, gens, depth, cap)
+        assert not orb.frontier_exhausted
+        expanded = len(orbit(p, seeds, gens, depth - 1, cap).elements)
+        count.update(passes=0, products=0)
+        orbit(p, seeds, gens, depth, cap)
+        assert count["passes"] == len(seeds) + expanded, name  # normal_form of each seed
+        count.update(passes=0, products=0)
+        norm_ball(p, orb, 4)
+        assert count["products"] <= bound, name
+
+
+# counts every product ``words._products`` yields (also through ``automorphisms``
+# and ``norms``) per shape: the orbit, one radius-4 ball, and 30 seeded queries
+# that reuse it
 COUNT_PRODUCTS = """
 import random, sys
-from gpnorm import (aut0_generators, expand_to_primary, generator, named_presentation,
-                    norm_ball, norm_upper, norms, orbit, words)
+from gpnorm import (aut0_generators, automorphisms, expand_to_primary, generator,
+                    named_presentation, norm_ball, norm_upper, norms, orbit, words)
+from gpnorm import automorphisms, norms, words
 from gpnorm.corpus import random_word
 
 products, count = words._products, 0
@@ -229,7 +325,7 @@ def counted(*args):
     for y in products(*args):
         count += 1
         yield y
-words._products = norms._products = counted
+words._products = automorphisms._products = norms._products = counted
 for name in sys.argv[1:]:
     count, rng = 0, random.Random(16)
     p = expand_to_primary(named_presentation(name))
