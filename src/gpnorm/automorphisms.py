@@ -23,9 +23,9 @@ maps that build its images) and makes all the other images of one frontier
 word canonical in one ``words._products`` pass, not one ``normal_form``
 call per image.  A generator that is its own inverse gives one image, since
 both directions agree: a factor automorphism with m^2 = 1 mod n (m = -1 on
-an infinite vertex), a transvection with w^(2q) = 1, a partial conjugation
-by a vertex of order 2, and an involutive graph symmetry.  Neither rule
-changes the orbit or its order: a skipped image equals one already made.
+an infinite vertex), a transvection with w^(2q) = 1, and a partial
+conjugation by a vertex of order 2.  Neither rule changes the orbit or its
+order: a skipped image equals one already made.
 ``apply_gen`` gives the same image: ``normal_form`` of the same raw word.
 """
 
@@ -229,13 +229,11 @@ def _prepared(p: Presentation, g: AutGen) -> tuple[int, bool, list]:
         return p._mask(K), False, [image(c) for c in ((1,) if p.order(v) == 2 else (1, -1))]
     if g.kind == LABELLED_GRAPH:
         perm = dict(g.permutation)
-        inverse = {b: a for a, b in perm.items()}
 
         def image(perm):
             return lambda x: [Syllable(perm[v], e) for v, e in x]
         # counted as moving every vertex
-        return p._mask(p.vertex_ids), False, [image(perm) for perm in (
-            (perm,) if inverse == perm else (perm, inverse))]
+        return p._mask(p.vertex_ids), False, [image(perm), image({b: a for a, b in perm.items()})]
     raise ValueError(f"unknown generator kind {g.kind!r}")
 
 

@@ -20,19 +20,13 @@ query outside it.
 The ball inverts all the generators in one ``words._products`` pass, and two
 rules drop products from the search without changing its result: the keys,
 distances and order are those of one product per (frontier word, generator)
-pair.  Below, a first syllable of a canonical word is one that commutes with
-every syllable before it, and the star of a vertex is its link plus itself.
+pair.
 
-* Concatenation: x s is the concatenation x + s when no first syllable of
-  s has the vertex of x's final syllable f in its star.  Every first
-  syllable of s then depends on f, so every syllable of s lies above f in the heap order
-  (Cartier-Foata; Diekert-Rozenberg, The Book of Traces, 1995): the
-  lex-least order emits x as it stands, f last, and then s.  Nothing
-  merges: a syllable a of s and a syllable b of x of one vertex are
-  separated in the heap by f if a is first (b != f depends on f), else by
-  a syllable of s before a that a depends on, which then depends on b too.
-  The stars of each generator's first syllables are one bitmask, made once
-  per ball.
+* Concatenation: ``words._canonical_products`` makes x s the concatenation
+  x + s when no first syllable of s (one that commutes with every syllable
+  before it) has the vertex of x's final syllable in its star (its link
+  plus itself); its docstring has the proof.  The stars of each
+  generator's first syllables are one bitmask, made once per ball.
 * Skip: in the first round, where x is a generator t, the product t t^-1 is
   the identity, and an s listed before t whose vertices all lie in the star
   of every vertex of t commutes with t.  Then t s = s t, which the search
@@ -57,21 +51,8 @@ from operator import and_
 from .classifier import BOUNDED_DECOMPOSITION, CITATION, HOMOMORPHISM, SPLIT_QM
 from .presentation import Presentation
 from .quasimorphisms import homogenize
-from .words import IDENTITY, NormalWord, _bfs, _products, invert, multiply, retract
-
-
-def _first_stars(p: Presentation, s) -> int:
-    """Mask of the stars (the link plus the vertex itself) of the first
-    syllables of a canonical word s: those that commute with every syllable
-    before them."""
-    index, adj = p._index, p._adj_mask
-    seen = stars = 0
-    for v, _ in s:
-        i = index[v]
-        if not seen & ~adj[i]:
-            stars |= adj[i] | 1 << i
-        seen |= 1 << i
-    return stars
+from .words import (IDENTITY, NormalWord, _bfs, _canonical_products, _first_stars, _products,
+                    invert, multiply, retract)
 
 
 def _ball(p: Presentation, gens: list[NormalWord], radius: int) -> dict[NormalWord, int]:
@@ -80,7 +61,7 @@ def _ball(p: Presentation, gens: list[NormalWord], radius: int) -> dict[NormalWo
     invs = list(_products(p, (), [[(v, -e) for v, e in reversed(g)] for g in gens]))
     sym = list(dict.fromkeys(gens + invs))
     ball = {IDENTITY: 0, **dict.fromkeys((g for g in sym if g), 1)}
-    if radius < 2:
+    if radius < 2 or len(ball) == 1:  # no generator: nothing to expand
         return ball
     index, adj = p._index, p._adj_mask
     inverse = {**dict(zip(invs, gens)), **dict(zip(gens, invs))}
@@ -89,7 +70,6 @@ def _ball(p: Presentation, gens: list[NormalWord], radius: int) -> dict[NormalWo
     supports = [p._mask(v for v, _ in s) for s in sym]
 
     def expand(x: NormalWord):
-        final = 1 << index[x[-1][0]]
         k = position.get(x)  # x is a generator only in the first round
         if k is None:
             tried = rights
@@ -98,9 +78,7 @@ def _ball(p: Presentation, gens: list[NormalWord], radius: int) -> dict[NormalWo
             inv = position[inverse[x]]
             tried = [r for j, r in enumerate(rights)
                      if j != inv and (j >= k or supports[j] & ~centre)]
-        products = _products(p, x, [s for s, stars in tried if stars & final])
-        for s, stars in tried:
-            yield next(products) if stars & final else NormalWord(x + s)
+        return _canonical_products(p, x, tried)
 
     return _bfs(ball, expand, radius - 1)[0]
 

@@ -17,9 +17,11 @@ indices with the orders and adjacency bitmasks that ``Presentation`` holds as
 its graph, and holds a canonical word as parallel vertex-index and syllable
 lists.  It indexes a canonical x once and lazily yields x w for each raw word
 w it is given: ``normal_form`` gives it the empty x and one w, ``multiply``
-one right factor, the norm ball every generator at once.  Each product adds
-syllables one at a time; a new syllable v^e, its exponent reduced mod the
-order of v, scans back over the trailing entries that commute with v:
+one right factor, the orbit every image of one word at once, and
+``_canonical_products`` the norm ball's products that are not plain
+concatenations (see its docstring).  Each product adds syllables one at a
+time; a new syllable v^e, its exponent reduced mod the order of v, scans
+back over the trailing entries that commute with v:
 
 * if the scan meets an entry of vertex v, the two merge (mod the order),
   and the entry is deleted if they cancel;
@@ -153,6 +155,40 @@ def _products(p: Presentation, xs: tuple[Syllable, ...], ws: Iterable) -> Iterat
                 ss.insert(k, syl if type(syl) is Syllable and syl.exponent == e
                           else made.get((name, e)) or made.setdefault((name, e), Syllable(name, e)))
         yield NormalWord(ss)
+
+
+def _first_stars(p: Presentation, s) -> int:
+    """Mask of the stars (the link plus the vertex itself) of the first
+    syllables of a canonical s: those that commute with every syllable
+    before them.  ``_canonical_products`` reads it."""
+    index, adj = p._index, p._adj_mask
+    seen = stars = 0
+    for v, _ in s:
+        i = index[v]
+        if not seen & ~adj[i]:
+            stars |= adj[i] | 1 << i
+        seen |= 1 << i
+    return stars
+
+
+def _canonical_products(p: Presentation, x: NormalWord, rights: list) -> Iterator[NormalWord]:
+    """Yield the canonical x*s for each (s, _first_stars(p, s)) in rights, s
+    canonical, as ``_products`` would: the concatenation x + s when the stars
+    miss the vertex of x's final syllable f (always when x is the identity),
+    the rest from one ``_products`` pass.
+
+    Every first syllable of s then depends on f, so every syllable of s lies
+    above f in the heap order (Cartier-Foata; Diekert-Rozenberg, The Book of
+    Traces, 1995).  No syllable of s is available before f, and f comes last
+    in x's lex-least order, so the lex-least order emits x as it stands and
+    then s.  Nothing merges: a syllable a of s and a syllable b of x of one
+    vertex are separated in the heap by f if a is first (b != f depends on
+    f), else by a syllable of s before a that a depends on, which then
+    depends on b too."""
+    final = 1 << p._index[x[-1][0]] if x else 0
+    products = _products(p, x, [s for s, stars in rights if stars & final])
+    for s, stars in rights:
+        yield next(products) if stars & final else NormalWord(x + s)
 
 
 def _bfs(dist: dict, expand: Callable, rounds: int, keep: Callable | None = None) -> tuple:

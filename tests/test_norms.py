@@ -27,7 +27,7 @@ from gpnorm import (
 )
 from gpnorm import automorphisms, norms, words
 from gpnorm.corpus import random_word
-from gpnorm.norms import _ball, _first_stars
+from gpnorm.norms import _ball
 
 
 def pres(orders, edges=()):
@@ -140,28 +140,6 @@ def random_graph_product(rng):
     return pres({f"v{i}": rng.choice((2, 3, 4, None)) for i in range(n)}, edges)
 
 
-def test_concatenation_rule_matches_multiply():
-    """The ball's shortcut: x*s is the tuple x + s when no first syllable of s
-    has x's final vertex in its star (the vertex and its link)."""
-    rng = random.Random(18)
-    fired = 0
-    for k in range(100):
-        p = random_graph_product(rng)
-        free = pres({v: p.order(v) for v in p.vertex_ids})
-        for q in (p, free):
-            for _ in range(100):
-                x, s = random_word(q, rng, 6), random_word(q, rng, 6)
-                if not x:
-                    continue
-                concatenates = not _first_stars(q, s) & 1 << q.index(x[-1].vertex)
-                if q is free:  # the rule fires exactly when nothing could merge
-                    assert concatenates == (not s or s[0].vertex != x[-1].vertex), (k, x, s)
-                if concatenates:
-                    fired += 1
-                    assert multiply(q, x, s) == x + s, (k, repr(q), x, s)
-    assert fired > 5000
-
-
 def test_norm_ball_matches_multiply_bfs_on_random_presentations():
     """Random presentations with edges and finite orders, at radius 1-6:
     from the second round on, frontier words meet every generator, and some
@@ -206,6 +184,17 @@ def test_norm_upper_ball_reuse():
     for radius in (0, -1):  # a ball that no norm_upper call would accept
         with pytest.raises(ValueError, match="radius must be >= 1"):
             norm_ball(p, orb, radius)
+
+
+def test_norm_ball_without_generators():
+    # an empty orbit (a length cap of 0, or identity seeds) has the identity
+    # alone as its ball at every radius, and factors nothing else
+    p = pres({"a": None, "b": 2}, [("a", "b")])
+    x = parse_word(p, "a b")
+    for radius in range(1, 6):
+        assert norm_ball(p, [], radius) == {IDENTITY: 0}
+        assert norm_upper(p, x, [], radius) is None
+        assert norm_upper(p, IDENTITY, [], radius) == 0
 
 
 def test_norm_lower_homomorphism():
@@ -316,7 +305,6 @@ COUNT_PRODUCTS = """
 import random, sys
 from gpnorm import (aut0_generators, automorphisms, expand_to_primary, generator,
                     named_presentation, norm_ball, norm_upper, norms, orbit, words)
-from gpnorm import automorphisms, norms, words
 from gpnorm.corpus import random_word
 
 products, count = words._products, 0

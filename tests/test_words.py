@@ -26,9 +26,9 @@ from gpnorm import (
     word_literal,
 )
 from gpnorm import words
-from gpnorm.corpus import NAMED
+from gpnorm.corpus import NAMED, random_word
 from gpnorm.presentation import PresentationError
-from gpnorm.words import _products
+from gpnorm.words import _canonical_products, _first_stars, _products
 
 PATH = parse_presentation(
     {
@@ -444,6 +444,32 @@ def test_products_match_multiply(seed):
         assert [g.syllables for g in got] == [stack_normal_form(p, list(x) + w) for w in ws]
         assert all(type(g) is NormalWord for g in got)
         assert list(_products(p, IDENTITY, ws)) == [normal_form(p, w) for w in ws]
+
+
+def test_canonical_products_concatenate_where_nothing_crosses():
+    # x*s is the tuple x + s when no first syllable of s has x's final vertex
+    # in its star (the vertex and its link); in a free product, exactly when
+    # x's final vertex differs from s's first.  Each product must equal
+    # multiply's, concatenated or not
+    rng = random.Random(18)
+    fired = 0
+    for _ in range(100):
+        p = random_presentation(rng, rng.randint(2, 6), rng.random())
+        free = parse_presentation({"vertices": [{"id": v, "order": p.order(v) or "inf"}
+                                                for v in p.vertex_ids], "edges": []})
+        for q in (p, free):
+            for _ in range(10):
+                x, ss = random_word(q, rng, 6), [random_word(q, rng, 6) for _ in range(10)]
+                rights = [(s, _first_stars(q, s)) for s in ss]
+                got = list(_canonical_products(q, x, rights))
+                assert got == [multiply(q, x, s) for s in ss], (repr(q), x)
+                final = 1 << q.index(x[-1].vertex) if x else 0
+                for s, stars in rights:
+                    if q is free:
+                        assert (not stars & final) == (not x or not s
+                                                       or s[0].vertex != x[-1].vertex), (x, s)
+                    fired += not stars & final
+    assert fired > 10000
 
 
 def test_products_reject_unknown_vertex():
