@@ -15,11 +15,10 @@ computed from a truncated orbit are upper bounds.  A generator fixes, in both
 directions, every word that avoids the vertices it moves: v for a factor
 automorphism or transvection of v, K for a partial conjugation of K, and (as
 ``orbit`` counts it) every vertex for a graph symmetry; ``orbit`` skips those
-pairs.  A factor image needs no renormalising: a unit keeps each exponent
-nonzero and each syllable in place; the canonical order reads vertices only.
+pairs.
 
 ``orbit`` prepares each generator once per call (its moved mask, and the
-maps that build its images) and makes all the other images of one frontier
+maps that build its raw images) and makes all the images of one frontier
 word canonical in one ``words._products`` pass, not one ``normal_form``
 call per image.  A generator that is its own inverse gives one image, since
 both directions agree: a factor automorphism with m^2 = 1 mod n (m = -1 on
@@ -184,22 +183,18 @@ def aut0_generators(p: Presentation) -> list[AutGen]:
     return gens
 
 
-def _prepared(p: Presentation, g: AutGen) -> tuple[int, bool, list]:
-    """g made ready to apply to many words: (moved, direct, maps).  ``moved``
-    is the mask of the vertices g moves; ``maps`` holds the image map of g
-    and then that of g^-1, or only the first when g is its own inverse.  A
-    map takes a canonical x to its canonical image if ``direct`` (FACTOR),
-    else to the raw word that ``normal_form`` makes canonical."""
+def _prepared(p: Presentation, g: AutGen) -> tuple[int, list]:
+    """g made ready to apply to many words: (moved, maps).  ``moved`` is the
+    mask of the vertices g moves; ``maps`` holds the image map of g and then
+    that of g^-1, or only the first when g is its own inverse.  A map takes a
+    canonical x to a raw word that ``words._products`` makes canonical."""
     if g.kind == FACTOR:
         v, n, m = g.vertex, p.order(g.vertex), g.unit
         inverse = m if n is None else pow(m, -1, n)  # m = +-1 on an infinite vertex
 
-        def image(u):
-            return lambda x: NormalWord([  # canonical as it stands: see the module docstring
-                Syllable(v, s.exponent * u % n if n else s.exponent * u)
-                if s.vertex == v else s for s in x
-            ])
-        return p._mask((v,)), True, [image(u) for u in dict.fromkeys((m, inverse))]
+        def image(u):  # the exponent is reduced mod n when made canonical
+            return lambda x: [(v, s.exponent * u) if s.vertex == v else s for s in x]
+        return p._mask((v,)), [image(u) for u in dict.fromkeys((m, inverse))]
     if g.kind == TRANSVECTION:
         v, w = g.vertex, g.target
         q, nw, commute = transvection_exponent(p, v, w), p.order(w), p.has_edge(v, w)
@@ -219,29 +214,28 @@ def _prepared(p: Presentation, g: AutGen) -> tuple[int, bool, list]:
                                 else (Syllable(w, -q), Syllable(v, -1))) * abs(e)
                 return out
             return transvect
-        return p._mask((v,)), False, [image(q) for q in ((q,) if involution else (q, -q))]
+        return p._mask((v,)), [image(q) for q in ((q,) if involution else (q, -q))]
     if g.kind == PARTIAL_CONJ:
         v, K = g.vertex, set(g.component)
 
         def image(c):
             a, b = Syllable(v, c), Syllable(v, -c)
             return lambda x: [t for s in x for t in ((a, s, b) if s.vertex in K else (s,))]
-        return p._mask(K), False, [image(c) for c in ((1,) if p.order(v) == 2 else (1, -1))]
+        return p._mask(K), [image(c) for c in ((1,) if p.order(v) == 2 else (1, -1))]
     if g.kind == LABELLED_GRAPH:
         perm = dict(g.permutation)
 
         def image(perm):
             return lambda x: [Syllable(perm[v], e) for v, e in x]
         # counted as moving every vertex
-        return p._mask(p.vertex_ids), False, [image(perm), image({b: a for a, b in perm.items()})]
+        return p._mask(p.vertex_ids), [image(perm), image({b: a for a, b in perm.items()})]
     raise ValueError(f"unknown generator kind {g.kind!r}")
 
 
 def apply_gen(p: Presentation, g: AutGen, x: NormalWord, inverse: bool = False) -> NormalWord:
     """Image of the canonical x under one generator (or its inverse)."""
-    _, direct, maps = _prepared(p, g)
-    y = maps[-1 if inverse else 0](x)
-    return y if direct else normal_form(p, y)
+    _, maps = _prepared(p, g)
+    return normal_form(p, maps[-1 if inverse else 0](x))
 
 
 @dataclass(frozen=True)
@@ -276,19 +270,16 @@ def orbit(
         raise ValueError("depth must be >= 0")
     prepared = [_prepared(p, g) for g in gens]
 
-    def images(x: NormalWord):
-        support = p._mask(v for v, _ in x)
-        # a generator that moves no vertex of x fixes it in both directions
-        live = [(direct, f) for moved, direct, maps in prepared if moved & support
-                for f in maps]
-        canonical = _products(p, (), [f(x) for direct, f in live if not direct])
-        for direct, f in live:
-            yield f(x) if direct else next(canonical)
-
     def within_cap(y: NormalWord) -> bool:
         return exponent_weight(y) <= length_cap
 
+    def images(x: NormalWord):
+        support = p._mask(v for v, _ in x)
+        # a generator that moves no vertex of x fixes it in both directions
+        raw = [f(x) for moved, maps in prepared if moved & support for f in maps]
+        return filter(within_cap, _products(p, (), raw))
+
     dist, exhausted, depth_used = _bfs(
         dict.fromkeys(filter(within_cap, (normal_form(p, s) for s in seeds)), 0),
-        images, depth, within_cap)
+        images, depth)
     return OrbitSet(tuple(dist), exhausted, depth_used, length_cap)

@@ -197,15 +197,14 @@ def lower_cone_violation(p: Presentation, X: Iterable[str]) -> tuple[str, str] |
     exists exactly when s <=_tau t: X is a lower cone.  The labelled graph
     automorphisms are not pure and are not in the generating set.
 
-    The pairs s <=_tau t are read from transvections; the one returned has
-    the least t, then the least s, in declaration order.
+    The pair returned is the first of transvections with s outside X and t
+    in X: the least s, then the least t, in declaration order.  It names
+    the generator tv(s, t) that moves s out of K_X.
     """
     xs = dict.fromkeys(X)  # ordered: an unknown vertex is named in input order
     for x in xs:
         p.index(x)
-    # min keeps the first of equal keys, and the list is ordered by s
-    pairs = [(s, t) for s, t in transvections(p) if t in xs and s not in xs]
-    return min(pairs, key=lambda pair: p.index(pair[1]), default=None)
+    return next(((s, t) for s, t in transvections(p) if s not in xs and t in xs), None)
 
 
 @dataclass(frozen=True)

@@ -287,18 +287,19 @@ def build_parser() -> _Parser:
     top = _Parser(prog="gpnorm", description=__doc__, allow_abbrev=False)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name, help_, graph=True, word=False):
+    def add(name, func, help_, graph=True, word=False):
         sp = sub.add_parser(name, help=help_, allow_abbrev=False)
+        sp.set_defaults(func=func)
         if graph:
             sp.add_argument("graph", help="presentation JSON file")
         if word:
             sp.add_argument("word", help="word literal, e.g. 'a b^-2'")
         return sp
 
-    sp = add("classify", "decide boundedness, print verdict + certificate")
+    sp = add("classify", cmd_classify, "decide boundedness, print verdict + certificate")
     sp.add_argument("--out", default="", help="also write the verdict JSON here")
 
-    add("nf", "canonical normal form of a word", word=True)
+    add("nf", cmd_nf, "canonical normal form of a word", word=True)
 
     def orbit_flags(sp):
         sp.add_argument("--orbit-depth", type=int, default=3, help="BFS composition depth")
@@ -308,13 +309,14 @@ def build_parser() -> _Parser:
         sp.add_argument("--seed-word", action="append", default=[], metavar="WORD",
                         help="orbit seed word (repeatable); default: vertex generators")
 
-    sp = add("norm", "certified norm interval for a word", word=True)
+    sp = add("norm", cmd_norm, "certified norm interval for a word", word=True)
     orbit_flags(sp)
     sp.add_argument("--radius", type=int, default=4, help="search radius for the upper bound")
     sp.add_argument("--cert", default="",
                     help="certificate JSON for the lower bound (verified first)")
 
-    sp = add("distortion", "CSV table n,lower,upper for powers of a word", word=True)
+    sp = add("distortion", cmd_distortion, "CSV table n,lower,upper for powers of a word",
+             word=True)
     orbit_flags(sp)
     sp.add_argument("--radius", type=int, default=4)
     sp.add_argument("--nmax", type=int, default=6, help="largest power")
@@ -322,16 +324,17 @@ def build_parser() -> _Parser:
                     help="certificate JSON (verified first; classified and written here if missing)")
     sp.add_argument("--svg", default="", help="also write an SVG growth plot here")
 
-    sp = add("classes", "preorders, tau classes, join decomposition")
+    sp = add("classes", cmd_classes, "preorders, tau classes, join decomposition")
     sp.add_argument("--format", dest="fmt", choices=["json", "dot"], default="json")
 
-    sp = add("orbit", "dump a truncated Aut0 orbit as word literals")
+    sp = add("orbit", cmd_orbit, "dump a truncated Aut0 orbit as word literals")
     orbit_flags(sp)
 
-    sp = add("verify", "check a certificate; exit 0 PASS, 2 FAIL")
+    sp = add("verify", cmd_verify, "check a certificate; exit 0 PASS, 2 FAIL")
     sp.add_argument("cert", help="certificate or verdict JSON file")
 
-    sp = add("gen-corpus", "write the named corpus (plus random presentations)", graph=False)
+    sp = add("gen-corpus", cmd_gen_corpus, "write the named corpus (plus random presentations)",
+             graph=False)
     sp.add_argument("--out", default="corpus", help="output directory")
     sp.add_argument("--random", type=int, default=0, dest="random_count",
                     help="number of extra random presentations")
@@ -340,22 +343,10 @@ def build_parser() -> _Parser:
     return top
 
 
-COMMANDS = {
-    "classify": cmd_classify,
-    "nf": cmd_nf,
-    "norm": cmd_norm,
-    "distortion": cmd_distortion,
-    "classes": cmd_classes,
-    "orbit": cmd_orbit,
-    "verify": cmd_verify,
-    "gen-corpus": cmd_gen_corpus,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     ns = build_parser().parse_args(argv)
     try:
-        return COMMANDS[ns.command](ns)
+        return ns.func(ns)
     except (PresentationError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"gpnorm: error: {exc}", file=sys.stderr)
         return 1

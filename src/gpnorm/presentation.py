@@ -237,6 +237,14 @@ def _ids_from_json(value) -> tuple[str, ...]:
     return tuple(value)
 
 
+def _str_from_json(value) -> str:
+    """A JSON string as it stands.  Anything else raises TypeError, so a
+    number is not read as a rational nor a list as a vertex name."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a JSON string, got {value!r}")
+    return value
+
+
 def parse_presentation(source: str | dict) -> Presentation:
     """Parse the JSON presentation format (text or already-decoded object)
     into a validated Presentation.

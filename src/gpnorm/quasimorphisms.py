@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
 
-from .presentation import Presentation, PresentationError, _ids_from_json
+from .presentation import Presentation, PresentationError, _ids_from_json, _str_from_json
 from .words import (
     IDENTITY,
     NormalWord,
@@ -240,14 +240,15 @@ def odd_function_to_obj(f: OddFunction) -> dict:
 
 def odd_function_from_obj(p: Presentation, obj: dict) -> OddFunction:
     table = tuple(
-        (parse_word(p, lit), Fraction(val)) for lit, val in sorted(obj["table"].items())
+        (parse_word(p, lit), Fraction(_str_from_json(val)))
+        for lit, val in sorted(obj["table"].items())
     )
     base = obj.get("power_base")
     return OddFunction(
         side=_ids_from_json(obj["side"]),
         table=table,
         power_base=parse_word(p, base) if base is not None else None,
-        sup_norm=Fraction(obj["sup_norm"]),
+        sup_norm=Fraction(_str_from_json(obj["sup_norm"])),
     )
 
 
@@ -266,5 +267,5 @@ def split_qm_from_obj(p: Presentation, obj: dict) -> SplitQM:
         left=_ids_from_json(obj["split_left"]),
         sigma_left=odd_function_from_obj(p, obj["sigma_left"]),
         sigma_right=odd_function_from_obj(p, obj["sigma_right"]),
-        defect=Fraction(obj["defect"]),
+        defect=Fraction(_str_from_json(obj["defect"])),
     )

@@ -191,14 +191,15 @@ def _canonical_products(p: Presentation, x: NormalWord, rights: list) -> Iterato
         yield next(products) if stars & final else NormalWord(x + s)
 
 
-def _bfs(dist: dict, expand: Callable, rounds: int, keep: Callable | None = None) -> tuple:
+def _bfs(dist: dict, expand: Callable, rounds: int) -> tuple:
     """Breadth-first search from the last layer of ``dist``, an insertion-ordered
     map word -> distance.  Each round enters at d + 1, in order, each new y of
-    ``expand(x)`` that passes ``keep``, x in the last layer at d: the order of
-    ``dist`` depends only on its start, ``expand`` and the words.  Returns
-    (dist, exhausted, rounds_used): rounds_used counts the rounds, at most
-    ``rounds``, that added a word; exhausted is True iff a layer (the start's
-    included) came out empty, so dist is closed under ``expand`` and ``keep``."""
+    ``expand(x)``, x in the last layer at d: the order of ``dist`` depends only
+    on its start, ``expand`` and the words.  A caller that bounds the search
+    filters inside ``expand``.  Returns (dist, exhausted, rounds_used):
+    rounds_used counts the rounds, at most ``rounds``, that added a word;
+    exhausted is True iff a layer (the start's included) came out empty, so
+    dist is closed under ``expand``."""
     d = max(dist.values(), default=0)
     frontier = [x for x, dx in dist.items() if dx == d]
     used = 0
@@ -207,7 +208,7 @@ def _bfs(dist: dict, expand: Callable, rounds: int, keep: Callable | None = None
         new = []
         for x in frontier:
             for y in expand(x):
-                if y not in dist and (keep is None or keep(y)):
+                if y not in dist:
                     dist[y] = d
                     new.append(y)
         used += bool(new)

@@ -2,7 +2,17 @@ import random
 
 import pytest
 
-from gpnorm import expand_to_primary, named_presentation
+from gpnorm import expand_to_primary, named_presentation, parse_presentation
+
+
+def pres(orders, edges=()):
+    """A presentation from {vertex: order} (None for infinite) and edges."""
+    return parse_presentation(
+        {
+            "vertices": [{"id": v, "order": o or "inf"} for v, o in orders.items()],
+            "edges": [list(e) for e in edges],
+        }
+    )
 
 
 def corpus(name):

@@ -7,7 +7,6 @@ from gpnorm import (
     aut0_generators,
     join_decomposition,
     lower_cone_violation,
-    parse_presentation,
     preorder,
     tau_structure,
 )
@@ -28,17 +27,7 @@ from gpnorm.classes import (
 )
 from gpnorm.automorphisms import TRANSVECTION
 from gpnorm.presentation import PresentationError, _factorization
-
-
-def pres(orders, edges):
-    return parse_presentation(
-        {
-            "vertices": [
-                {"id": v, "order": o if o else "inf"} for v, o in orders.items()
-            ],
-            "edges": [list(e) for e in edges],
-        }
-    )
+from conftest import pres
 
 
 def test_preorders_path_raag():
@@ -189,8 +178,8 @@ def test_transvections_match_referee():
         for size in range(n + 1):
             for X in itertools.combinations(ids, size):
                 brute = next(
-                    ((s, t) for t in X for s in ids
-                     if s not in X and leq_tau_referee(p, s, t)),
+                    ((s, t) for s in ids if s not in X for t in X
+                     if leq_tau_referee(p, s, t)),
                     None,
                 )
                 assert lower_cone_violation(p, X) == brute, (repr(p), X)

@@ -15,7 +15,6 @@ from gpnorm import (
     join_decomposition,
     lower_cone_violation,
     make_split_qm,
-    parse_presentation,
     parse_word,
     random_presentation,
     verify_certificate,
@@ -32,21 +31,12 @@ from gpnorm.classifier import (
     SPLIT_QM,
     certificate_from_obj,
     certificate_to_obj,
-    kx_invariance_violation,
     verdict_from_obj,
     verdict_to_obj,
 )
 from gpnorm.presentation import PresentationError
 from gpnorm.words import generator, power, retract
-
-
-def pres(orders, edges=()):
-    return parse_presentation(
-        {
-            "vertices": [{"id": v, "order": o or "inf"} for v, o in orders.items()],
-            "edges": [list(e) for e in edges],
-        }
-    )
+from conftest import pres
 
 
 CASES = [
@@ -174,6 +164,21 @@ def test_tampered_chain_fails_with_violating_generator():
     assert "tv(" in fail.detail  # exhibits the violating transvection
 
 
+def test_tampered_chain_names_one_violating_pair():
+    # a <=_tau c and d <=_tau b both break the step {b, c}: the detail names
+    # the first pair of transvections, the one the generator referee finds
+    p = pres({"a": None, "b": None, "c": None, "d": None}, [("a", "c")])
+    step = ("b", "c")
+    tampered = replace(classify(p).certificate, chain=(step,))
+    rep = verify_certificate(p, Verdict(False, tampered))
+    assert [(c.name, c.detail) for c in rep.checks if c.status == "FAIL"] == [(
+        "chain-lower-cone",
+        "step ('b', 'c'): a <=_tau c but a outside; violating generator "
+        "tv(a,c) or its inverse moves a out of K_X",
+    )]
+    assert kx_answer(p, kx_invariance_referee(p, step)) == ("a", "c")
+
+
 def test_tampered_witness_fails(psl):
     v = classify(psl)
     obj = certificate_to_obj(v.certificate)
@@ -195,15 +200,12 @@ def test_tampered_bounded_payload_fails(z2):
 
 def test_kx_invariance_violation_path_raag():
     p = pres({"a": None, "b": None, "c": None}, [("a", "b"), ("b", "c")])
-    found = kx_invariance_violation(p, ("b",))
-    assert found is not None
-    g, w = found
-    assert g.kind == "TRANSVECTION" and g.target == "b"
-    assert kx_invariance_violation(p, ("a", "c")) is None
+    assert lower_cone_violation(p, ("b",)) == ("a", "b")
+    assert lower_cone_violation(p, ("a", "c")) is None
 
 
 def kx_invariance_referee(p, X):
-    """The generator-applying form of kx_invariance_violation: apply every
+    """The generator-applying form of lower_cone_violation: apply every
     Aut0 generator and its inverse to every killed generator, and return the
     first (g, w) whose image leaves K_X.  Complete, since K_X is the normal
     closure of the killed generators."""
@@ -221,8 +223,14 @@ def kx_invariance_referee(p, X):
     return None
 
 
-def kx_answer(found):
-    return None if found is None else (found[0].literal(), found[1])
+def kx_answer(p, found):
+    """The referee's (g, w) as the pair lower_cone_violation returns: g is
+    tv(s, t) and w the generator s that it moves."""
+    if found is None:
+        return None
+    g, w = found
+    assert g.kind == "TRANSVECTION" and w == generator(p, g.vertex), g.literal()
+    return g.vertex, g.target
 
 
 def test_kx_invariance_closed_form_matches_referee():
@@ -236,9 +244,8 @@ def test_kx_invariance_closed_form_matches_referee():
         for X in itertools.chain.from_iterable(
             itertools.combinations(ids, k) for k in range(len(ids) + 1)
         ):
-            want = kx_answer(kx_invariance_referee(p, X))
-            assert kx_answer(kx_invariance_violation(p, X)) == want, (repr(p), X)
-            assert (lower_cone_violation(p, X) is None) == (want is None)
+            want = kx_answer(p, kx_invariance_referee(p, X))
+            assert lower_cone_violation(p, X) == want, (repr(p), X)
             pairs += 1
             violations += want is not None
     assert pairs > 5000 and violations > 2000

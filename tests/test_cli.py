@@ -412,6 +412,14 @@ WRONG_TYPES = {
     "float-count": ("dinf_x_c2", ("certificate", "payload"), {"n": 0.0}),
     "string-bounded": ("psl", (), {"bounded": "no"}),
     "integer-bounded": ("dinf_x_c2", (), {"bounded": 1}),
+    # rationals are JSON strings, as certificate_to_obj writes them
+    "bool-defect": ("psl", ("certificate", "payload"), {"defect": True}),
+    "integer-defect": ("psl", ("certificate", "payload"), {"defect": 3}),
+    "float-sup-norm": ("psl", ("certificate", "payload", "sigma_right"), {"sup_norm": 3.0}),
+    "integer-table-value": ("psl", ("certificate", "payload", "sigma_right"),
+                            {"table": {"b": 1, "b^2": "-1"}}),
+    "list-target-vertex": ("z", ("certificate", "payload"), {"target_vertex": ["a"]}),
+    "list-citation": ("f2", ("certificate", "payload"), {"citation": ["FREE_GROUP_PRIMITIVES"]}),
 }
 
 

@@ -21,22 +21,13 @@ from gpnorm import (
     norm_lower,
     norm_upper,
     orbit,
-    parse_presentation,
     parse_word,
     power,
 )
 from gpnorm import automorphisms, norms, words
 from gpnorm.corpus import random_word
 from gpnorm.norms import _ball
-
-
-def pres(orders, edges=()):
-    return parse_presentation(
-        {
-            "vertices": [{"id": v, "order": o or "inf"} for v, o in orders.items()],
-            "edges": [list(e) for e in edges],
-        }
-    )
+from conftest import pres
 
 
 def std_orbit(p, depth=4, cap=10):

@@ -19,7 +19,6 @@ from gpnorm import (
     make_split_qm,
     multiply,
     normal_form,
-    parse_presentation,
     parse_word,
     power,
     random_word,
@@ -37,15 +36,7 @@ from gpnorm.quasimorphisms import (
     split_qm_to_obj,
 )
 from gpnorm.words import _free_runs
-
-
-def pres(orders, edges=()):
-    return parse_presentation(
-        {
-            "vertices": [{"id": v, "order": o or "inf"} for v, o in orders.items()],
-            "edges": [list(e) for e in edges],
-        }
-    )
+from conftest import pres
 
 
 PSL = pres({"a": 2, "b": 3})
