@@ -12,10 +12,14 @@ Every reader of <=_tau reads its pairs from ``transvections``, the one place
 it is decided.  Mutual <=_tau partitions the vertices into classes of three
 kinds: free abelian (infinite orders, pairwise commuting), free (infinite
 orders, pairwise non-commuting), or finite primary (orders all powers of one
-prime; such a class always spans a clique).  The induced partial order on
-classes drives the boundedness classifier; its lower cones are exactly the
-vertex sets whose retraction kernels are invariant under the pure
-automorphism group.
+prime; such a class always spans a clique).  No other kind occurs: a finite
+v <=_tau w only when w is finite with v's prime, so no class mixes infinite
+and finite orders or two primes.  An infinite class with an edge u - v is
+a clique (Corredor-Gutierrez 2012): for w not adjacent to u, v in Lk(u)
+subset St(w), so w in Lk(v) subset St(u), a contradiction.  The induced
+partial order on classes drives the boundedness classifier; its lower cones
+are exactly the vertex sets whose retraction kernels are invariant under the
+pure automorphism group.
 
 The join decomposition reads a direct-product factorization off the
 connected components of the complement graph: an isolated infinite vertex is
@@ -26,6 +30,7 @@ else is flagged OTHER.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -45,10 +50,8 @@ FINITE_FACTOR = "FINITE_FACTOR"
 OTHER = "OTHER"
 
 
-def _prime_of(p: Presentation, v: str) -> int | None:
+def _prime_of(p: Presentation, v: str) -> int:
     n = p.order(v)
-    if n is None:
-        return None
     parts = _factorization(n)
     if len(parts) != 1:
         raise PresentationError(f"vertex {v!r} has non-primary order {n}")
@@ -150,23 +153,12 @@ def tau_structure(p: Presentation) -> TauStructure:
     types = []
     for cls in classes:
         orders = [p.order(v) for v in cls]
-        if orders[0] is None:
-            if any(o is not None for o in orders):
-                raise PresentationError(f"mixed class {cls}: infinite and finite orders")
-            if p.is_clique(cls):
-                types.append(ClassType(FREE_ABELIAN, rank=len(cls)))
-            elif len(p.components(cls)) == len(cls):  # no edge inside
-                types.append(ClassType(FREE, rank=len(cls)))
-            else:
-                raise PresentationError(f"class {cls}: commutation not class-constant")
+        if orders[0] is not None:
+            types.append(ClassType(FINITE_PRIMARY, order=math.prod(orders)))
+        elif p.is_clique(cls):
+            types.append(ClassType(FREE_ABELIAN, rank=len(cls)))
         else:
-            primes = {_prime_of(p, v) for v in cls}
-            if None in primes or len(primes) != 1:
-                raise PresentationError(f"class {cls}: not a single-prime class")
-            total = 1
-            for o in orders:
-                total *= o
-            types.append(ClassType(FINITE_PRIMARY, order=total))
+            types.append(ClassType(FREE, rank=len(cls)))
     order = set()
     for i, ci in enumerate(classes):
         for j, cj in enumerate(classes):

@@ -21,7 +21,6 @@ verdict independently of how it was produced.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 
 from . import classes as cl
 from .presentation import Presentation, PresentationError, _ids_from_json, _str_from_json
@@ -105,9 +104,9 @@ def _homomorphism(p: Presentation, v: str, chain) -> Certificate:
 
 
 def _prepend(verdict: Verdict, step: tuple[str, ...], trace: list[str]) -> Verdict:
-    """The verdict with step put in front of its chain.  Built chains are
-    strictly nested, since (ML, M) has L nonempty, so only the old head can
-    equal step; it is dropped then."""
+    """The verdict with step put in front of its chain, which was built
+    inside step.  Built chains are strictly nested (by induction), so only
+    the old head can equal step; it is dropped then."""
     cert = verdict.certificate
     chain = cert.chain
     if chain and set(chain[0]) == set(step):
@@ -147,6 +146,12 @@ def classify(p: Presentation) -> Verdict:
 
 
 def _classify(p: Presentation, trace: list[str]) -> Verdict:
+    """If V - M is bounded and M is a free class or a single Z vertex, L is
+    empty.  For x in M, Lk(x) subset V - M = Z^n x Dinf^m x F, and x <=_tau u
+    for u outside M would put [u] strictly above M.  A Z or finite factor u
+    commutes with the rest of V - M, so Lk(x) subset St(u): there is none.
+    A Dinf vertex u gives x <=_tau u unless x commutes with its partner, so
+    x commutes with every vertex of V - M."""
     V = p.vertex_ids
     if not V:
         return _bounded_verdict(p, trace + ["empty presentation: trivial group"])
@@ -182,14 +187,12 @@ def _classify(p: Presentation, trace: list[str]) -> Verdict:
         trace.append("L empty: direct product W_M x W_{V-M}")
         if cl.join_decomposition(p).bounded_form:
             return _bounded_verdict(p, trace)
+        if cl.lower_cone_violation(p, M) is not None:
+            raise AssertionError(f"expected lower cone M = {M} in {p!r}")
         if mtype.kind == cl.FREE:
-            if cl.lower_cone_violation(p, M) is not None:
-                raise AssertionError(f"expected lower cone M = {M} in {p!r}")
             cert = _free_citation(p, M, (M,))
             return Verdict(False, cert, tuple(trace + ["retract to free class M"]))
         if mtype.kind == cl.FREE_ABELIAN and mtype.rank == 1:
-            if cl.lower_cone_violation(p, M) is not None:
-                raise AssertionError(f"expected lower cone M = {M} in {p!r}")
             cert = _homomorphism(p, M[0], (M,))
             return Verdict(False, cert, tuple(trace + ["retract to the unique Z vertex"]))
         raise AssertionError(
@@ -211,13 +214,6 @@ def _classify(p: Presentation, trace: list[str]) -> Verdict:
     ML = tuple(v for v in V if v in set(M) or v in set(L))
     pml = p.sub(ML)
     trace.append(f"free product W_M * W_L inside lower cone {{{','.join(ML)}}}")
-    if mtype.kind == cl.FREE:
-        cert = _free_citation(p, M, (ML, M))
-        return Verdict(False, cert, tuple(trace + ["retract to free class M"]))
-    if mtype.kind == cl.FREE_ABELIAN and mtype.rank == 1:
-        cert = _homomorphism(p, M[0], (ML, M))
-        return Verdict(False, cert, tuple(trace + ["retract to Z class M"]))
-
     m_two = _is_elementary_two(pml, set(M))
     l_two = _is_elementary_two(pml, set(L))
     if m_two and l_two:
@@ -278,7 +274,7 @@ def certificate_from_obj(p: Presentation, obj: dict) -> Certificate:
     wit = obj.get("witness")
     witness = parse_word(p, wit) if wit is not None else None
     payload = obj.get("payload", {})
-    note = obj.get("note", "")
+    note = _str_from_json(obj.get("note", ""))
     if kind == BOUNDED_DECOMPOSITION:
         if not type(payload["n"]) is type(payload["m"]) is int:  # bools are not counts
             raise TypeError("payload n and m must be JSON integers")
@@ -325,7 +321,7 @@ def verdict_from_obj(p: Presentation, obj: dict) -> Verdict:
     return Verdict(
         obj["bounded"],
         certificate_from_obj(p, obj["certificate"]),
-        tuple(obj.get("trace", [])),
+        _ids_from_json(obj.get("trace", [])),
     )
 
 
@@ -404,10 +400,10 @@ def verify_certificate(p: Presentation, verdict: Verdict) -> Report:
     checked: decomposition shape for BOUNDED verdicts; endpoint shape for
     homomorphism and citation certificates; for split quasimorphisms, exact
     oddness and support of both odd functions, the defect against 3 * max
-    sup |sigma| recomputed from the tables, the witness value, and that no
-    transvection joins two free factors, so every automorphic image of a
-    vertex is a factor conjugate, on which the homogenization vanishes.  No
-    check samples.
+    sup |sigma| read from the odd functions, which compute it from their
+    tables, the witness value, and that no transvection joins two free
+    factors, so every automorphic image of a vertex is a factor conjugate,
+    on which the homogenization vanishes.  No check samples.
 
     A BOUNDED verdict claims |g| <= 2 * (1 + m + |F|) for every g.  The
     norm is subadditive over the commuting factors of Z^n x Dinf^m x F, and
@@ -535,12 +531,7 @@ def verify_certificate(p: Presentation, verdict: Verdict) -> Report:
     for name in ("split-odd-support", "split-odd-symmetry", "split-power-base"):
         rep.add(name, name not in faults, faults.get(name, "left and right"))
     rep.add("split-nonzero-side", not all(sig.is_zero for sig in sigmas))
-    # sup |sigma| from the tables; the sign rule of a power base adds 1
-    sup = max(
-        [abs(v) for sig in sigmas for _, v in sig.table]
-        + [Fraction(1) for sig in sigmas if sig.power_base is not None],
-        default=Fraction(0),
-    )
+    sup = max(sig.sup_norm for sig in sigmas)
     rep.add("split-defect-constant", qm.defect >= 3 * sup, f"defect {qm.defect}, 3 sup {3 * sup}")
     value, _err = homogenize(final, qm, y, "exact")
     rep.add("split-witness-value", value != 0, f"qbar(witness) = {value}")

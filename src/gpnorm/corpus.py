@@ -71,17 +71,12 @@ def gen_corpus(directory: str | Path) -> list[Path]:
 ORDER_POOL = (2, 2, 3, 4, None, None)
 
 
-def random_presentation(
-    rng: random.Random,
-    max_vertices: int = 8,
-    order_pool=ORDER_POOL,
-) -> Presentation:
-    """A random primary presentation with 1..max_vertices vertices."""
+def random_presentation(rng: random.Random, max_vertices: int = 8) -> Presentation:
+    """A random primary presentation with 1..max_vertices vertices, orders
+    drawn from ORDER_POOL."""
     n = rng.randint(1, max_vertices)
     ids = [f"v{i}" for i in range(n)]
-    vertices = [
-        {"id": v, "order": rng.choice(order_pool) or "inf"} for v in ids
-    ]
+    vertices = [{"id": v, "order": rng.choice(ORDER_POOL) or "inf"} for v in ids]
     edges = [
         [ids[i], ids[j]]
         for i in range(n)

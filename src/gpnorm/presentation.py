@@ -230,8 +230,8 @@ def _order_from_json(value) -> int | None:
 
 
 def _ids_from_json(value) -> tuple[str, ...]:
-    """A JSON list of vertex ids as a tuple.  Anything else raises
-    TypeError, so a string is not read as its characters."""
+    """A JSON list of strings, such as vertex ids, as a tuple.  Anything
+    else raises TypeError, so a string is not read as its characters."""
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise TypeError(f"expected a list of vertex ids, got {value!r}")
     return tuple(value)

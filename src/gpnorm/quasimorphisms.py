@@ -50,11 +50,16 @@ class OddFunction:
     side: tuple[str, ...]
     table: tuple[tuple[NormalWord, Fraction], ...] = ()
     power_base: NormalWord | None = None
-    sup_norm: Fraction = Fraction(0)
 
     @property
     def is_zero(self) -> bool:
         return not self.table and self.power_base is None
+
+    @property
+    def sup_norm(self) -> Fraction:
+        """sup |f|: the largest |table value|, 1 under a sign rule, else 0."""
+        signs = [Fraction(1)] if self.power_base is not None else []
+        return max([abs(v) for _, v in self.table] + signs, default=Fraction(0))
 
     @cached_property
     def _values(self) -> dict[NormalWord, Fraction]:
@@ -76,9 +81,7 @@ class OddFunction:
 
 def _power_of(p: Presentation, base: NormalWord, x: NormalWord) -> int | None:
     """k with x = base^k, or None.  base is a single infinite-order syllable
-    or a product of two non-commuting involutions."""
-    if not x:
-        return 0
+    or a product of two non-commuting involutions; x is not the identity."""
     if len(base) == 1 and p.order(base[0].vertex) is None:
         if len(x) == 1 and x[0].vertex == base[0].vertex:
             e = x[0].exponent
@@ -117,11 +120,7 @@ def default_odd_function(p: Presentation, side: Iterable[str]) -> OddFunction:
     for v in vs:
         n = p.order(v)
         if n is None:
-            return OddFunction(
-                side=vs,
-                power_base=normal_form(p, [(v, 1)]),
-                sup_norm=Fraction(1),
-            )
+            return OddFunction(side=vs, power_base=normal_form(p, [(v, 1)]))
         if n != 2:
             table = []
             for k in range(1, n):
@@ -130,17 +129,13 @@ def default_odd_function(p: Presentation, side: Iterable[str]) -> OddFunction:
                 elif 2 * k > n:
                     table.append((normal_form(p, [(v, k)]), Fraction(-1)))
                 # 2k == n: g^k is an involution, oddness forces 0
-            return OddFunction(side=vs, table=tuple(table), sup_norm=Fraction(1))
+            return OddFunction(side=vs, table=tuple(table))
     # all generators are involutions but the side is not C_2^k: some pair
     # fails to commute and their product has infinite order
     for i, v in enumerate(vs):
         for w in vs[i + 1 :]:
             if not p.has_edge(v, w):
-                return OddFunction(
-                    side=vs,
-                    power_base=normal_form(p, [(v, 1), (w, 1)]),
-                    sup_norm=Fraction(1),
-                )
+                return OddFunction(side=vs, power_base=normal_form(p, [(v, 1), (w, 1)]))
     raise AssertionError("non-C_2^k side without odd support")
 
 
@@ -239,6 +234,10 @@ def odd_function_to_obj(f: OddFunction) -> dict:
 
 
 def odd_function_from_obj(p: Presentation, obj: dict) -> OddFunction:
+    # sup_norm and zero are derived: type-checked here, computed, never read
+    _str_from_json(obj["sup_norm"])
+    if type(obj["zero"]) is not bool:
+        raise TypeError("zero must be JSON true or false")
     table = tuple(
         (parse_word(p, lit), Fraction(_str_from_json(val)))
         for lit, val in sorted(obj["table"].items())
@@ -248,7 +247,6 @@ def odd_function_from_obj(p: Presentation, obj: dict) -> OddFunction:
         side=_ids_from_json(obj["side"]),
         table=table,
         power_base=parse_word(p, base) if base is not None else None,
-        sup_norm=Fraction(_str_from_json(obj["sup_norm"])),
     )
 
 
@@ -263,6 +261,7 @@ def split_qm_to_obj(q: SplitQM) -> dict:
 
 
 def split_qm_from_obj(p: Presentation, obj: dict) -> SplitQM:
+    _str_from_json(obj["homogenized_defect"])  # derived, like sup_norm
     return SplitQM(
         left=_ids_from_json(obj["split_left"]),
         sigma_left=odd_function_from_obj(p, obj["sigma_left"]),

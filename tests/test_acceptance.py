@@ -6,12 +6,9 @@ sampling budget is stated inline.
 """
 
 import itertools
-import json
 import random
 import time
 from fractions import Fraction
-
-import pytest
 
 from gpnorm import (
     IDENTITY,

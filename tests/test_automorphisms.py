@@ -13,7 +13,6 @@ from gpnorm import (
     expand_to_primary,
     exponent_weight,
     generator,
-    invert,
     multiply,
     named_presentation,
     normal_form,

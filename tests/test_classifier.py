@@ -20,8 +20,9 @@ from gpnorm import (
     verify_certificate,
     word_literal,
 )
-from gpnorm import automorphisms, classifier, norms
+from gpnorm import automorphisms, classifier, corpus, norms
 from gpnorm.automorphisms import apply_gen, aut0_generators
+from gpnorm.classes import FREE, FREE_ABELIAN, tau_structure
 from gpnorm.classifier import (
     BOUNDED_DECOMPOSITION,
     CITATION,
@@ -198,6 +199,19 @@ def test_tampered_bounded_payload_fails(z2):
     assert all(c.name != "uniform-bound" for c in rep.checks)
 
 
+def test_missing_witness_and_unknown_citation_fail(psl, f2):
+    no_witness = replace(classify(psl).certificate, witness=None)
+    rep = verify_certificate(psl, Verdict(False, no_witness))
+    assert [(c.name, c.detail) for c in rep.checks if c.status == "FAIL"] == [
+        ("witness", "missing witness")
+    ]
+    unknown_tag = replace(classify(f2).certificate, citation="NOPE")
+    rep = verify_certificate(f2, Verdict(False, unknown_tag))
+    assert [(c.name, c.detail) for c in rep.checks if c.status == "FAIL"] == [
+        ("citation-endpoint", "unknown tag NOPE")
+    ]
+
+
 def test_kx_invariance_violation_path_raag():
     p = pres({"a": None, "b": None, "c": None}, [("a", "b"), ("b", "c")])
     assert lower_cone_violation(p, ("b",)) == ("a", "b")
@@ -233,13 +247,14 @@ def kx_answer(p, found):
     return g.vertex, g.target
 
 
-def test_kx_invariance_closed_form_matches_referee():
+def test_kx_invariance_closed_form_matches_referee(monkeypatch):
     # every X of 300 random presentations with orders whose transvection
     # exponents q = |w| / |v| exceed 1 (2 -> 4 -> 8, 3 -> 9)
+    monkeypatch.setattr(corpus, "ORDER_POOL", (2, 3, 4, 8, 9, None))
     rng = random.Random(61)
     pairs = violations = 0
     for _ in range(300):
-        p = random_presentation(rng, max_vertices=6, order_pool=(2, 3, 4, 8, 9, None))
+        p = random_presentation(rng, max_vertices=6)
         ids = p.vertex_ids
         for X in itertools.chain.from_iterable(
             itertools.combinations(ids, k) for k in range(len(ids) + 1)
@@ -369,3 +384,47 @@ def test_split_qm_across_a_transvection_fails(f2):
     rep = verify_certificate(f2, Verdict(False, cert))
     assert _failed(rep) == {"split-orbit-in-factors"}
     assert "tv(a,b)" in next(c.detail for c in rep.checks if c.status == "FAIL")
+
+
+def _random_join_plus_free_class(rng):
+    """A join of random Z, Dinf and finite factors, plus one to three pairwise
+    non-adjacent infinite vertices, each joined to each vertex of the join
+    with probability 0.9, so that V - M is often bounded."""
+    orders, factors = {}, []
+    for i in range(rng.randint(0, 4)):
+        kind = rng.choice(("Z", "Dinf", "Dinf", "finite"))
+        if kind == "Dinf":
+            factor = {f"d{i}": 2, f"e{i}": 2}
+        else:
+            factor = {f"z{i}": None if kind == "Z" else rng.choice((2, 3, 4, 5, 8, 9))}
+        orders.update(factor)
+        factors.append(list(factor))
+    edges = [(v, w) for i, f in enumerate(factors) for g in factors[:i] for v in f for w in g]
+    joined = list(orders)
+    for j in range(rng.randint(1, 3)):
+        orders[f"f{j}"] = None
+        edges += [(f"f{j}", v) for v in joined if rng.random() < 0.9]
+    return pres(orders, edges)
+
+
+def test_maximal_free_or_z_class_commutes_with_bounded_rest():
+    """The lemma of classifier._classify: when V - M is bounded and the
+    maximal class M is free or a single Z vertex, every vertex of V - M
+    commutes with all of M, so L is empty."""
+    rng = random.Random(7)
+    checked = bounded = 0
+    for _ in range(300):
+        p = _random_join_plus_free_class(rng)
+        ts = tau_structure(p)
+        for i in ts.maximal_classes():
+            M, t = ts.classes[i], ts.class_types[i]
+            rest = [v for v in p.vertex_ids if v not in M]
+            free_or_z = t.kind == FREE or (t.kind == FREE_ABELIAN and t.rank == 1)
+            if not (rest and free_or_z):
+                continue
+            checked += 1
+            if classify(p.sub(rest)).bounded:
+                bounded += 1
+                assert all(p.has_edge(v, m) for v in rest for m in M), (repr(p), M)
+        classify(p)  # reaches none of the classifier's AssertionErrors
+    assert checked > 60 and bounded > 15

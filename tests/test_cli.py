@@ -420,6 +420,11 @@ WRONG_TYPES = {
                             {"table": {"b": 1, "b^2": "-1"}}),
     "list-target-vertex": ("z", ("certificate", "payload"), {"target_vertex": ["a"]}),
     "list-citation": ("f2", ("certificate", "payload"), {"citation": ["FREE_GROUP_PRIMITIVES"]}),
+    "list-note": ("psl", ("certificate",), {"note": [1, 2]}),
+    "string-trace": ("psl", (), {"trace": "abc"}),
+    # derived fields are computed, never read, but must still have their type
+    "string-zero": ("psl", ("certificate", "payload", "sigma_right"), {"zero": "x"}),
+    "list-homogenized-defect": ("psl", ("certificate", "payload"), {"homogenized_defect": [1]}),
 }
 
 

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -225,6 +226,20 @@ def test_norm_lower_rejects_other_kinds(z2, f2):
     citation_cert = classify(f2).certificate
     with pytest.raises(ValueError):
         norm_lower(f2, generator(f2, "a"), citation_cert)
+
+
+def test_norm_lower_rejects_malformed_certificates(psl):
+    # norm_lower reads a certificate as it stands; each guard names its fault
+    cert = classify(psl).certificate
+    cases = {
+        r"unknown vertices \['b'\]": replace(cert, chain=(("a",), ("b",))),
+        "single Z vertex": replace(cert, kind="HOMOMORPHISM", chain=(("a",),)),
+        "without quasimorphism payload": replace(cert, split_qm=None),
+        "unknown certificate kind 'NOPE'": replace(cert, kind="NOPE"),
+    }
+    for message, bad in cases.items():
+        with pytest.raises(ValueError, match=message):
+            norm_lower(psl, parse_word(psl, "a b"), bad)
 
 
 def test_distortion_table_psl(psl):

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from gpnorm import (
-    Presentation,
     PresentationError,
     VertexSpec,
     expand_to_primary,

@@ -338,7 +338,7 @@ def test_split_evaluation_rejects_unknown_vertex_and_crossing_edge():
 
 def test_repeated_table_entry_first_wins():
     b2 = generator(PSL, "b", 2)
-    f = OddFunction(("b",), table=((b2, Fraction(-1)), (b2, Fraction(1))), sup_norm=Fraction(1))
+    f = OddFunction(("b",), table=((b2, Fraction(-1)), (b2, Fraction(1))))
     assert f.evaluate(PSL, b2) == referee_sigma(PSL, f, b2) == -1
     # a forged certificate: "b^-1" and "b^2" read as the same element, and
     # the literals are read in sorted order, so b^2 -> -1 comes first
