@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from . import classes as cl
-from .presentation import Presentation, PresentationError, _ids_from_json, _str_from_json
+from .presentation import Presentation, PresentationError, _ids_from_json, _json_value
 from .quasimorphisms import (
     OddFunction,
     SplitQM,
@@ -272,39 +272,23 @@ def certificate_from_obj(p: Presentation, obj: dict) -> Certificate:
     kind = obj["kind"]
     chain = tuple(_ids_from_json(step) for step in obj.get("chain", []))
     wit = obj.get("witness")
-    witness = parse_word(p, wit) if wit is not None else None
+    witness = parse_word(p, _json_value(wit, str)) if wit is not None else None
+    note = _json_value(obj.get("note", ""), str)
     payload = obj.get("payload", {})
-    note = _str_from_json(obj.get("note", ""))
     if kind == BOUNDED_DECOMPOSITION:
-        if not type(payload["n"]) is type(payload["m"]) is int:  # bools are not counts
-            raise TypeError("payload n and m must be JSON integers")
-        return Certificate(
-            kind,
-            chain=chain,
-            witness=witness,
-            n=payload["n"],
-            m=payload["m"],
-            finite_part=_ids_from_json(payload["finite_part"]),
-            note=note,
-        )
-    if kind == HOMOMORPHISM:
-        return Certificate(
-            kind, chain=chain, witness=witness,
-            target_vertex=_str_from_json(payload["target_vertex"]), note=note,
-        )
-    if kind == SPLIT_QM:
+        fields = {"n": _json_value(payload["n"], int), "m": _json_value(payload["m"], int),
+                  "finite_part": _ids_from_json(payload["finite_part"])}
+    elif kind == HOMOMORPHISM:
+        fields = {"target_vertex": _json_value(payload["target_vertex"], str)}
+    elif kind == SPLIT_QM:
         # the payload lives on the last step; verify checks that the steps nest
         final = p.sub(chain[-1]) if chain else p
-        return Certificate(
-            kind, chain=chain, witness=witness,
-            split_qm=split_qm_from_obj(final, payload), note=note,
-        )
-    if kind == CITATION:
-        return Certificate(
-            kind, chain=chain, witness=witness,
-            citation=_str_from_json(payload["citation"]), note=note,
-        )
-    raise ValueError(f"unknown certificate kind {kind!r}")
+        fields = {"split_qm": split_qm_from_obj(final, payload)}
+    elif kind == CITATION:
+        fields = {"citation": _json_value(payload["citation"], str)}
+    else:
+        raise ValueError(f"unknown certificate kind {kind!r}")
+    return Certificate(kind, chain=chain, witness=witness, note=note, **fields)
 
 
 def verdict_to_obj(v: Verdict) -> dict:
@@ -316,10 +300,8 @@ def verdict_to_obj(v: Verdict) -> dict:
 
 
 def verdict_from_obj(p: Presentation, obj: dict) -> Verdict:
-    if type(obj["bounded"]) is not bool:
-        raise TypeError("bounded must be JSON true or false")
     return Verdict(
-        obj["bounded"],
+        _json_value(obj["bounded"], bool),
         certificate_from_obj(p, obj["certificate"]),
         _ids_from_json(obj.get("trace", [])),
     )

@@ -22,7 +22,8 @@ from . import classes as cl
 from . import classifier, corpus
 from .automorphisms import aut0_generators, orbit, parse_generator
 from .norms import distortion_table, norm_lower, norm_upper
-from .presentation import Presentation, PresentationError, expand_to_primary, parse_presentation
+from .presentation import (Presentation, PresentationError, _primary_vertices, expand_to_primary,
+                           parse_presentation)
 from .words import NormalWord, normal_form, parse_word, word_literal
 
 
@@ -33,12 +34,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _load(path: str) -> Presentation:
-    p = parse_presentation(Path(path).read_text())
-    return expand_to_primary(p)
-
-
-def _load_with_words(path: str) -> tuple[Presentation, Callable[[str], NormalWord]]:
+def _load(path: str) -> tuple[Presentation, Callable[[str], NormalWord]]:
     """The primary presentation of a file and a word-literal parser for it.
 
     The parser also reads a syllable v^e of a cyclic vertex v of composite
@@ -49,23 +45,20 @@ def _load_with_words(path: str) -> tuple[Presentation, Callable[[str], NormalWor
     """
     raw = parse_presentation(Path(path).read_text())
     p = expand_to_primary(raw)
-    images = {}
-    for spec in raw.vertices:
-        ids = expand_to_primary(Presentation([spec], [])).vertex_ids
-        if ids != (spec.id,):
-            images[spec.id] = ids
-    noncyclic = {v.id for v in raw.vertices if v.factors is not None and len(v.factors) > 1}
 
     def word(text: str) -> NormalWord:
+        specs = {v.id: v for v in raw.vertices}  # only commands that read a word build it
         tokens = []
         for token in text.split():
             v, hat, e = token.partition("^")
-            if v in noncyclic:
+            spec = specs.get(v)
+            ids = [v] if spec is None else [w.id for w in _primary_vertices(spec)]
+            if spec is not None and len(spec.factors or ()) > 1:
                 raise ValueError(
                     f"vertex {v!r} has several factors and is not cyclic; "
-                    f"name its primary vertices {' '.join(images[v])}"
+                    f"name its primary vertices {' '.join(ids)}"
                 )
-            tokens.extend(w + hat + e for w in images.get(v, (v,)))
+            tokens.extend(w + hat + e for w in ids)
         return parse_word(p, " ".join(tokens))
 
     return p, word
@@ -101,13 +94,14 @@ def _custom_orbit(ns: argparse.Namespace) -> bool:
 
 def _load_verdict(p: Presentation, path: str) -> classifier.Verdict:
     """A verdict file, or a bare certificate read as the verdict its kind
-    implies.  A file of the wrong shape raises ValueError naming it."""
-    obj = json.loads(Path(path).read_text())
+    implies.  A file of the wrong shape, or nested too deeply to decode,
+    raises ValueError naming it."""
     try:
+        obj = json.loads(Path(path).read_text())
         if "certificate" in obj:
             return classifier.verdict_from_obj(p, obj)
         cert = classifier.certificate_from_obj(p, obj)
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError, AttributeError, RecursionError) as exc:
         raise ValueError(
             f"malformed certificate file {path} ({type(exc).__name__}: {exc})"
         ) from None
@@ -127,7 +121,7 @@ def _verified_cert(p: Presentation, path: str) -> classifier.Certificate | None:
 
 
 def cmd_classify(ns: argparse.Namespace) -> int:
-    p = _load(ns.graph)
+    p, _ = _load(ns.graph)
     verdict = classifier.classify(p)
     text = json.dumps(classifier.verdict_to_obj(verdict), indent=2, sort_keys=True)
     if ns.out:
@@ -137,13 +131,13 @@ def cmd_classify(ns: argparse.Namespace) -> int:
 
 
 def cmd_nf(ns: argparse.Namespace) -> int:
-    _, word = _load_with_words(ns.graph)
+    _, word = _load(ns.graph)
     print(word_literal(word(ns.word)))
     return 0
 
 
 def cmd_norm(ns: argparse.Namespace) -> int:
-    p, word = _load_with_words(ns.graph)
+    p, word = _load(ns.graph)
     x = word(ns.word)
     cert = None
     if ns.cert:
@@ -212,7 +206,7 @@ def _write_svg(path: str, rows) -> None:
 
 
 def cmd_distortion(ns: argparse.Namespace) -> int:
-    p, word = _load_with_words(ns.graph)
+    p, word = _load(ns.graph)
     x = word(ns.word)
     cert = None
     if ns.cert:
@@ -234,7 +228,7 @@ def cmd_distortion(ns: argparse.Namespace) -> int:
 
 
 def cmd_classes(ns: argparse.Namespace) -> int:
-    p = _load(ns.graph)
+    p, _ = _load(ns.graph)
     if ns.fmt == "dot":
         sys.stdout.write(cl.hasse_dot(cl.tau_structure(p)))
         sys.stdout.write(p.to_dot(complement=True))
@@ -244,7 +238,7 @@ def cmd_classes(ns: argparse.Namespace) -> int:
 
 
 def cmd_orbit(ns: argparse.Namespace) -> int:
-    p, word = _load_with_words(ns.graph)
+    p, word = _load(ns.graph)
     orb = _orbit_for(p, word, ns)
     for w in orb.sorted_elements():
         print(word_literal(w) or "e")
@@ -257,7 +251,7 @@ def cmd_orbit(ns: argparse.Namespace) -> int:
 
 
 def cmd_verify(ns: argparse.Namespace) -> int:
-    p = _load(ns.graph)
+    p, _ = _load(ns.graph)
     verdict = _load_verdict(p, ns.cert)
     report = classifier.verify_certificate(p, verdict)
     _emit(report.to_obj())

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import functools
 import json
+import re
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 
@@ -233,16 +235,26 @@ def _ids_from_json(value) -> tuple[str, ...]:
     """A JSON list of strings, such as vertex ids, as a tuple.  Anything
     else raises TypeError, so a string is not read as its characters."""
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise TypeError(f"expected a list of vertex ids, got {value!r}")
+        raise TypeError(f"expected a list of strings, got {value!r}")
     return tuple(value)
 
 
-def _str_from_json(value) -> str:
-    """A JSON string as it stands.  Anything else raises TypeError, so a
-    number is not read as a rational nor a list as a vertex name."""
-    if not isinstance(value, str):
-        raise TypeError(f"expected a JSON string, got {value!r}")
+def _json_value(value, kind: type):
+    """A JSON value of kind str, bool or int, as it stands.  Anything else
+    raises TypeError: a number is not read as a rational, a list as a
+    vertex name, nor true as the integer 1."""
+    if type(value) is not kind:
+        raise TypeError(f"expected a JSON {kind.__name__}, got {value!r}")
     return value
+
+
+def _rational_from_json(value) -> Fraction:
+    """A rational as str(Fraction) writes it: n or n/d in ASCII digits,
+    d >= 1.  Anything else raises TypeError, so 1/0 does not divide by zero
+    and 1e999999999 does not build a billion-digit number."""
+    if not re.fullmatch(r"-?[0-9]+(/0*[1-9][0-9]*)?", _json_value(value, str)):
+        raise TypeError(f"expected a rational n or n/d, got {value!r}")
+    return Fraction(value)
 
 
 def parse_presentation(source: str | dict) -> Presentation:
@@ -258,7 +270,7 @@ def parse_presentation(source: str | dict) -> Presentation:
     else:
         try:
             obj = json.loads(source)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # not JSON, or nested too deeply
             raise PresentationError(f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict) or "vertices" not in obj:
         raise PresentationError("presentation JSON must contain 'vertices'")
@@ -317,43 +329,34 @@ def _factorization(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(parts)
 
 
+def _primary_vertices(v: VertexSpec) -> list[VertexSpec]:
+    """The primary / infinite cyclic vertices that replace v: each finite
+    invariant factor splits into its prime-power parts, and each infinite
+    factor gives one infinite vertex.  A vertex with one part keeps its id;
+    otherwise the parts are v.0, v.1, ..."""
+    parts: list[int | None] = []
+    for f in (v.order,) if v.factors is None else v.factors:
+        parts.extend([None] if f is None else [q for _, q in _factorization(f)])
+    if len(parts) == 1:
+        return [VertexSpec(v.id, order=parts[0])]
+    return [VertexSpec(f"{v.id}.{i}", order=q) for i, q in enumerate(parts)]
+
+
 def expand_to_primary(p: Presentation) -> Presentation:
     """Replace every vertex group by a clique of primary / infinite cyclic
     vertices generating an isomorphic group.
 
-    Each finite invariant factor splits into its prime-power parts; each
-    infinite factor contributes one infinite vertex.  Replacement vertices
-    inherit every adjacency of the original and form a clique among
-    themselves.  Idempotent on already-primary presentations.
+    Replacement vertices inherit every adjacency of the original and form a
+    clique among themselves.  Idempotent on already-primary presentations.
     """
-    new_vertices: list[VertexSpec] = []
-    groups: dict[str, list[str]] = {}
-    for v in p.vertices:
-        if v.factors is not None:
-            raw: list[int | None] = list(v.factors)
-        else:
-            raw = [v.order]
-        parts: list[int | None] = []
-        for f in raw:
-            if f is None:
-                parts.append(None)
-            else:
-                parts.extend(q for _, q in _factorization(f))
-        if len(parts) == 1:
-            ids = [v.id]
-        else:
-            ids = [f"{v.id}.{i}" for i in range(len(parts))]
-        groups[v.id] = ids
-        for vid, order in zip(ids, parts):
-            new_vertices.append(VertexSpec(vid, order=order))
+    groups = {v.id: _primary_vertices(v) for v in p.vertices}
     edges: list[tuple[str, str]] = []
-    for v in p.vertices:
-        ids = groups[v.id]
-        for i, a in enumerate(ids):
-            for b in ids[i + 1 :]:
-                edges.append((a, b))
+    for ws in groups.values():
+        for i, a in enumerate(ws):
+            for b in ws[i + 1 :]:
+                edges.append((a.id, b.id))
     for a, b in p.edges:
         for x in groups[a]:
             for y in groups[b]:
-                edges.append((x, y))
-    return Presentation(new_vertices, edges)
+                edges.append((x.id, y.id))
+    return Presentation([w for ws in groups.values() for w in ws], edges)

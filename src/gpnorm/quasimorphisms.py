@@ -23,7 +23,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
 
-from .presentation import Presentation, PresentationError, _ids_from_json, _str_from_json
+from .presentation import (Presentation, PresentationError, _ids_from_json, _json_value,
+                           _rational_from_json)
 from .words import (
     IDENTITY,
     NormalWord,
@@ -235,18 +236,17 @@ def odd_function_to_obj(f: OddFunction) -> dict:
 
 def odd_function_from_obj(p: Presentation, obj: dict) -> OddFunction:
     # sup_norm and zero are derived: type-checked here, computed, never read
-    _str_from_json(obj["sup_norm"])
-    if type(obj["zero"]) is not bool:
-        raise TypeError("zero must be JSON true or false")
+    _json_value(obj["sup_norm"], str)
+    _json_value(obj["zero"], bool)
     table = tuple(
-        (parse_word(p, lit), Fraction(_str_from_json(val)))
+        (parse_word(p, _json_value(lit, str)), _rational_from_json(val))
         for lit, val in sorted(obj["table"].items())
     )
     base = obj.get("power_base")
     return OddFunction(
         side=_ids_from_json(obj["side"]),
         table=table,
-        power_base=parse_word(p, base) if base is not None else None,
+        power_base=parse_word(p, _json_value(base, str)) if base is not None else None,
     )
 
 
@@ -261,10 +261,10 @@ def split_qm_to_obj(q: SplitQM) -> dict:
 
 
 def split_qm_from_obj(p: Presentation, obj: dict) -> SplitQM:
-    _str_from_json(obj["homogenized_defect"])  # derived, like sup_norm
+    _json_value(obj["homogenized_defect"], str)  # derived, like sup_norm
     return SplitQM(
         left=_ids_from_json(obj["split_left"]),
         sigma_left=odd_function_from_obj(p, obj["sigma_left"]),
         sigma_right=odd_function_from_obj(p, obj["sigma_right"]),
-        defect=Fraction(_str_from_json(obj["defect"])),
+        defect=_rational_from_json(obj["defect"]),
     )

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from gpnorm import classifier, classify, named_presentation
+from gpnorm import classifier, classify, cli, named_presentation
 from gpnorm.classifier import verdict_from_obj, verdict_to_obj
 from gpnorm.cli import build_parser, main
 from gpnorm.corpus import gen_corpus
@@ -425,6 +425,17 @@ WRONG_TYPES = {
     # derived fields are computed, never read, but must still have their type
     "string-zero": ("psl", ("certificate", "payload", "sigma_right"), {"zero": "x"}),
     "list-homogenized-defect": ("psl", ("certificate", "payload"), {"homogenized_defect": [1]}),
+    # a word is a JSON string, not a list of syllables
+    "list-witness": ("psl", ("certificate",), {"witness": ["a", "b"]}),
+    "list-power-base": ("c2c2c2", ("certificate", "payload", "sigma_right"),
+                        {"power_base": ["b", "c"]}),
+    # a rational is n or n/d as str(Fraction) writes it: no zero denominator,
+    # no exponent (Fraction would build 10^999999999), no nan
+    "zero-denominator-defect": ("psl", ("certificate", "payload"), {"defect": "1/0"}),
+    "zero-denominator-table-value": ("psl", ("certificate", "payload", "sigma_right"),
+                                     {"table": {"b": "1/0", "b^2": "-1"}}),
+    "exponent-defect": ("psl", ("certificate", "payload"), {"defect": "1e999999999"}),
+    "nan-defect": ("psl", ("certificate", "payload"), {"defect": "nan"}),
 }
 
 
@@ -439,9 +450,39 @@ def test_wrong_json_type_exits_1(corpus_dir, tmp_path, capsys, case):
     target.update(fields)
     path = tmp_path / "v.json"
     path.write_text(json.dumps(obj))
+    start = time.perf_counter()
     code, out, err = run(capsys, "verify", graph, str(path))
+    assert time.perf_counter() - start < 1
     assert (code, out, err.count("\n")) == (1, "", 1)
     assert f"malformed certificate file {path} (TypeError:" in err
+
+
+@pytest.mark.parametrize("command", ["classify", "verify", "norm"])
+def test_deeply_nested_json_exits_1(corpus_dir, tmp_path, capsys, command):
+    """200,000 nested lists overflow the JSON decoder's recursion, in a
+    presentation file (classify) or a certificate file (verify, norm
+    --cert); each exits 1 with one line."""
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 200_000 + "]" * 200_000)
+    graph = str(corpus_dir / "psl.json")
+    argv = {"classify": ["classify", str(nested)],
+            "verify": ["verify", graph, str(nested)],
+            "norm": ["norm", graph, "a b", "--cert", str(nested), "--radius", "1"]}[command]
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out, err.count("\n")) == (1, "", 1)
+    assert err.startswith("gpnorm: error:") and "maximum recursion depth" in err
+
+
+def test_one_expansion_per_cli_call(corpus_dir, capsys, monkeypatch):
+    """The word parser reads each raw vertex's primary ids without expanding
+    a presentation again: nf on c6_star_z expands its file once."""
+    calls = []
+    expand = cli.expand_to_primary
+    monkeypatch.setattr(cli, "expand_to_primary", lambda p: calls.append(p) or expand(p))
+    assert run(capsys, "nf", str(corpus_dir / "c6_star_z.json"), "a b") == (0, "a.0 a.1 b\n", "")
+    assert len(calls) == 1
 
 
 # the literal and the one stderr line of its rejection
