@@ -193,10 +193,9 @@ def lower_cone_violation(p: Presentation, X: Iterable[str]) -> tuple[str, str] |
     in X: the least s, then the least t, in declaration order.  It names
     the generator tv(s, t) that moves s out of K_X.
     """
-    xs = dict.fromkeys(X)  # ordered: an unknown vertex is named in input order
-    for x in xs:
-        p.index(x)
-    return next(((s, t) for s, t in transvections(p) if s not in xs and t in xs), None)
+    xs, index = p._mask(X), p._index
+    return next(((s, t) for s, t in transvections(p)
+                 if not xs >> index[s] & 1 and xs >> index[t] & 1), None)
 
 
 @dataclass(frozen=True)

@@ -123,18 +123,15 @@ def _split_witness(p: Presentation, qm: SplitQM) -> NormalWord:
     side take an element of sigma-value 1 when the side function is nonzero,
     else the least generator."""
 
-    def pick(side: tuple[str, ...], sigma) -> NormalWord:
+    def pick(sigma: OddFunction) -> NormalWord:
         if sigma.power_base is not None:
             return sigma.power_base
         for w, val in sigma.table:
             if val == 1:
                 return w
-        return generator(p, side[0])
+        return generator(p, sigma.side[0])
 
-    g = pick(qm.left, qm.sigma_left)
-    right = tuple(v for v in p.vertex_ids if v not in set(qm.left))
-    h = pick(right, qm.sigma_right)
-    return multiply(p, g, h)
+    return multiply(p, pick(qm.sigma_left), pick(qm.sigma_right))
 
 
 def classify(p: Presentation) -> Verdict:
@@ -142,42 +139,56 @@ def classify(p: Presentation) -> Verdict:
     primary presentation (run expand_to_primary first)."""
     if not p.is_primary():
         raise PresentationError("classify requires a primary presentation")
-    return _classify(p, [])
+    return _classify(p)
 
 
-def _classify(p: Presentation, trace: list[str]) -> Verdict:
-    """If V - M is bounded and M is a free class or a single Z vertex, L is
-    empty.  For x in M, Lk(x) subset V - M = Z^n x Dinf^m x F, and x <=_tau u
-    for u outside M would put [u] strictly above M.  A Z or finite factor u
-    commutes with the rest of V - M, so Lk(x) subset St(u): there is none.
-    A Dinf vertex u gives x <=_tau u unless x commutes with its partner, so
-    x commutes with every vertex of V - M."""
+def _unbounded(cert: Certificate, trace: list[str]) -> Verdict:
+    return Verdict(False, cert, tuple(trace))
+
+
+def _classify(p: Presentation) -> Verdict:
+    """Every bounded verdict is of bounded form, so a bounded V - M is
+    Z^n x Dinf^m x F with n != 1.
+
+    If M is a free class or a single Z vertex, L is empty.  For x in M,
+    Lk(x) subset V - M, and x <=_tau u for u outside M would put [u] strictly
+    above M.  A Z or finite factor u of V - M commutes with the rest of it,
+    so Lk(x) subset St(u): there is none.  A Dinf vertex u gives x <=_tau u
+    unless x commutes with its partner, so x commutes with all of V - M.
+
+    L empty: a finite M adds finite factors and Z^k adds k Z factors, so if W
+    is not of bounded form, M is free, or M is one Z vertex and V - M has no
+    Z.  Then M is a lower cone.  Only an infinite s can lie below a t in M.
+    For a free M, Lk(s) contains M, which lies in no St(t); a single Z
+    vertex M leaves no infinite vertex in V - M.
+
+    L nonempty: the complement components of L refine those of V - M, so W_L
+    has bounded form and its Z factors are its infinite vertices."""
     V = p.vertex_ids
     if not V:
-        return _bounded_verdict(p, trace + ["empty presentation: trivial group"])
+        return _bounded_verdict(p, ["empty presentation: trivial group"])
     ts = cl.tau_structure(p)
     if len(ts.classes) == 1:
         t = ts.class_types[0]
         if t.kind == cl.FINITE_PRIMARY:
-            return _bounded_verdict(p, trace + ["one class: finite primary"])
+            return _bounded_verdict(p, ["one class: finite primary"])
         if t.kind == cl.FREE_ABELIAN and t.rank > 1:
-            return _bounded_verdict(p, trace + [f"one class: Z^{t.rank}"])
+            return _bounded_verdict(p, [f"one class: Z^{t.rank}"])
         if t.kind == cl.FREE_ABELIAN:  # rank 1: the group is Z
-            cert = _homomorphism(p, V[0], (V,))
-            return Verdict(False, cert, tuple(trace + ["one class: Z, exponent homomorphism"]))
+            return _unbounded(_homomorphism(p, V[0], (V,)),
+                              ["one class: Z, exponent homomorphism"])
         # free class of rank >= 2
-        cert = _free_citation(p, V, (V,))
-        return Verdict(False, cert, tuple(trace + [f"one class: free of rank {t.rank}"]))
+        return _unbounded(_free_citation(p, V, (V,)), [f"one class: free of rank {t.rank}"])
 
-    # pick the maximal class with least vertex declaration index (tie-break)
-    max_classes = ts.maximal_classes()
-    mi = min(max_classes, key=lambda i: p.index(ts.classes[i][0]))
+    # classes come in order of their least vertex: the first maximal class
+    # has the least declaration index (tie-break)
+    mi = ts.maximal_classes()[0]
     M = ts.classes[mi]
     mtype = ts.class_types[mi]
     rest = tuple(v for v in V if v not in set(M))
-    trace = trace + [f"maximal class M = {{{','.join(M)}}} ({mtype.kind})"]
+    trace = [f"maximal class M = {{{','.join(M)}}} ({mtype.kind})"]
 
-    sub = _classify(p.sub(rest), [])
+    sub = _classify(p.sub(rest))
     if not sub.bounded:
         return _prepend(sub, rest, trace + [f"recursion on V-M = {{{','.join(rest)}}} unbounded"])
 
@@ -187,59 +198,34 @@ def _classify(p: Presentation, trace: list[str]) -> Verdict:
         trace.append("L empty: direct product W_M x W_{V-M}")
         if cl.join_decomposition(p).bounded_form:
             return _bounded_verdict(p, trace)
-        if cl.lower_cone_violation(p, M) is not None:
-            raise AssertionError(f"expected lower cone M = {M} in {p!r}")
         if mtype.kind == cl.FREE:
-            cert = _free_citation(p, M, (M,))
-            return Verdict(False, cert, tuple(trace + ["retract to free class M"]))
-        if mtype.kind == cl.FREE_ABELIAN and mtype.rank == 1:
-            cert = _homomorphism(p, M[0], (M,))
-            return Verdict(False, cert, tuple(trace + ["retract to the unique Z vertex"]))
-        raise AssertionError(
-            f"classifier/oracle disagreement on direct product case: {p!r}"
-        )
+            return _unbounded(_free_citation(p, M, (M,)), trace + ["retract to free class M"])
+        return _unbounded(_homomorphism(p, M[0], (M,)), trace + ["retract to the unique Z vertex"])
 
-    jd_L = cl.join_decomposition(p.sub(L))
-    if jd_L.has_other:
-        raise AssertionError(f"W_L not of bounded form in {p!r}")
-    if jd_L.n == 1:
-        v0 = next(
-            vs[0] for vs, shape in jd_L.components if shape == cl.Z_FACTOR
-        )
-        cert = _homomorphism(p, v0, ((v0,),))
-        return Verdict(
-            False, cert, tuple(trace + [f"Z-rank of W_L is 1: minimal class {{{v0}}}"])
-        )
+    zs = [v for v in L if p.order(v) is None]
+    if len(zs) == 1:
+        return _unbounded(_homomorphism(p, zs[0], ((zs[0],),)),
+                          trace + [f"Z-rank of W_L is 1: minimal class {{{zs[0]}}}"])
 
     ML = tuple(v for v in V if v in set(M) or v in set(L))
     pml = p.sub(ML)
     trace.append(f"free product W_M * W_L inside lower cone {{{','.join(ML)}}}")
-    m_two = _is_elementary_two(pml, set(M))
-    l_two = _is_elementary_two(pml, set(L))
-    if m_two and l_two:
+    if _is_elementary_two(pml, set(M)) and _is_elementary_two(pml, set(L)):
         if len(M) == 1 and len(L) == 1:
             trace.append("W_M = W_L = C_2: absorbed as an extra Dinf factor")
             return _bounded_verdict(p, trace)
-        g = generator(p, M[0])
-        h = generator(p, L[0])
         cert = Certificate(
             CITATION,
             chain=(ML,),
-            witness=multiply(p, g, h),
+            witness=multiply(p, generator(p, M[0]), generator(p, L[0])),
             citation=CITE_HYPERBOLIC,
             note="both sides elementary abelian 2-groups, some rank > 1",
         )
-        return Verdict(False, cert, tuple(trace + ["hyperbolic C_2^k * C_2^k case"]))
+        return _unbounded(cert, trace + ["hyperbolic C_2^k * C_2^k case"])
 
     qm = make_split_qm(pml, M)
-    witness = _split_witness(pml, qm)
-    cert = Certificate(
-        SPLIT_QM,
-        chain=(ML,),
-        witness=witness,
-        split_qm=qm,
-    )
-    return Verdict(False, cert, tuple(trace + ["split quasimorphism on W_M * W_L"]))
+    cert = Certificate(SPLIT_QM, chain=(ML,), witness=_split_witness(pml, qm), split_qm=qm)
+    return _unbounded(cert, trace + ["split quasimorphism on W_M * W_L"])
 
 
 # -- serialization ---------------------------------------------------------
@@ -341,12 +327,15 @@ class Report:
         }
 
 
-def _odd_function_faults(p: Presentation, sigma: OddFunction, side: set[str]):
+def _odd_function_faults(p: Presentation, sigma: OddFunction, side: tuple[str, ...]):
     """Yield (check name, detail) for each way sigma fails to be a bounded
-    odd function on the standard subgroup W_side: the table must hold
-    distinct nontrivial elements of W_side and be closed under inversion with
-    sigma(w^-1) = -sigma(w); the power base must be an infinite syllable or a
-    product of two non-commuting involutions of W_side."""
+    odd function on the standard subgroup W_side, side in declaration order:
+    its side must be that side; the table must hold distinct nontrivial
+    elements of W_side and be closed under inversion with sigma(w^-1) =
+    -sigma(w); the power base must be an infinite syllable or a product of
+    two non-commuting involutions of W_side."""
+    if sigma.side != side:
+        yield "split-odd-support", f"side {list(sigma.side)} is not the split's {list(side)}"
     values = dict(sigma.table)
     if len(values) != len(sigma.table):
         yield "split-odd-support", "repeated entry"
@@ -362,7 +351,7 @@ def _odd_function_faults(p: Presentation, sigma: OddFunction, side: set[str]):
         vs = [v for v, _ in base]
         infinite = len(vs) == 1 and p.order(vs[0]) is None
         dihedral = len(vs) == 2 and p.order(vs[0]) == p.order(vs[1]) == 2 and not p.has_edge(*vs)
-        if not (set(vs) <= side and (infinite or dihedral)):
+        if not (set(vs) <= set(side) and (infinite or dihedral)):
             yield "split-power-base", (
                 f"{word_literal(base) or 'e'} is neither an infinite syllable nor "
                 "two non-commuting involutions of W_side"
@@ -380,8 +369,8 @@ def verify_certificate(p: Presentation, verdict: Verdict) -> Report:
     first in declaration order with v killed and w kept, which moves v out
     of K_X; no automorphism is applied.  Kind-specific payloads are then
     checked: decomposition shape for BOUNDED verdicts; endpoint shape for
-    homomorphism and citation certificates; for split quasimorphisms, exact
-    oddness and support of both odd functions, the defect against 3 * max
+    homomorphism and citation certificates; for split quasimorphisms, the
+    side, exact oddness and support of both odd functions, the defect against 3 * max
     sup |sigma| read from the odd functions, which compute it from their
     tables, the witness value, and that no transvection joins two free
     factors, so every automorphic image of a vertex is a factor conjugate,
@@ -505,7 +494,8 @@ def verify_certificate(p: Presentation, verdict: Verdict) -> Report:
     if not valid:
         return rep
     sigmas = (qm.sigma_left, qm.sigma_right)
-    sides = (left, set(final.vertex_ids) - left)
+    ids = final.vertex_ids
+    sides = (tuple(v for v in ids if v in left), tuple(v for v in ids if v not in left))
     faults: dict[str, str] = {}
     for label, sigma, side in zip(("left", "right"), sigmas, sides):
         for name, detail in _odd_function_faults(final, sigma, side):

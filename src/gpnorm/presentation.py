@@ -106,6 +106,7 @@ class Presentation:
         return self._orders[self.index(v)]
 
     def _mask(self, X: Iterable[str]) -> int:
+        """Bitmask of X; the first vertex of X outside p, in input order, raises."""
         mask = 0
         for v in X:
             mask |= 1 << self.index(v)
@@ -140,11 +141,9 @@ class Presentation:
 
     def sub(self, X: Iterable[str]) -> "Presentation":
         """Full subgraph presentation spanned by X, in declaration order."""
-        keep = dict.fromkeys(X)  # ordered: an unknown vertex is named in input order
-        for x in keep:
-            self.index(x)
-        verts = [v for v in self.vertices if v.id in keep]
-        edges = [(a, b) for a, b in self.edges if a in keep and b in keep]
+        keep, index = self._mask(X), self._index
+        verts = [v for i, v in enumerate(self.vertices) if keep >> i & 1]
+        edges = [(a, b) for a, b in self.edges if keep >> index[a] & keep >> index[b] & 1]
         return Presentation(verts, edges)
 
     def components(
@@ -250,11 +249,15 @@ def _json_value(value, kind: type):
 
 def _rational_from_json(value) -> Fraction:
     """A rational as str(Fraction) writes it: n or n/d in ASCII digits,
-    d >= 1.  Anything else raises TypeError, so 1/0 does not divide by zero
-    and 1e999999999 does not build a billion-digit number."""
+    d >= 1.  Anything else, or a part of more digits than int() converts,
+    raises TypeError, so 1/0 does not divide by zero and 1e999999999 does
+    not build a billion-digit number."""
     if not re.fullmatch(r"-?[0-9]+(/0*[1-9][0-9]*)?", _json_value(value, str)):
         raise TypeError(f"expected a rational n or n/d, got {value!r}")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ValueError as exc:  # more digits than int() converts
+        raise TypeError(f"rational of {len(value)} characters: {exc}") from None
 
 
 def parse_presentation(source: str | dict) -> Presentation:
@@ -280,9 +283,9 @@ def parse_presentation(source: str | dict) -> Presentation:
     for item in obj["vertices"]:
         if not isinstance(item, dict):
             raise PresentationError(f"vertex {item!r} is not an object")
-        if "id" not in item:
-            raise PresentationError("vertex without id")
-        vid = str(item["id"])
+        vid = item.get("id")
+        if type(vid) is not str:  # not str(): null is not the vertex 'None'
+            raise PresentationError(f"vertex {item!r}: the id must be a string")
         if "order" in item and "factors" in item:
             raise PresentationError(f"vertex {vid!r}: order and factors are exclusive")
         if "order" in item:
@@ -296,10 +299,11 @@ def parse_presentation(source: str | dict) -> Presentation:
             raise PresentationError(f"vertex {vid!r}: order or factors required")
     edges = obj.get("edges", [])
     if not isinstance(edges, (list, tuple)) or not all(
-        isinstance(e, (list, tuple)) and len(e) == 2 for e in edges
+        isinstance(e, (list, tuple)) and len(e) == 2 and all(type(v) is str for v in e)
+        for e in edges
     ):
-        raise PresentationError("'edges' must be a list of 2-element lists")
-    return Presentation(verts, [(str(a), str(b)) for a, b in edges])
+        raise PresentationError("'edges' must be a list of pairs of vertex ids")
+    return Presentation(verts, edges)
 
 
 # Trial division takes up to sqrt(n) steps: 2^20 at the ceiling, 2^30 at 2^61.

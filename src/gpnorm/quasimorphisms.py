@@ -133,11 +133,8 @@ def default_odd_function(p: Presentation, side: Iterable[str]) -> OddFunction:
             return OddFunction(side=vs, table=tuple(table))
     # all generators are involutions but the side is not C_2^k: some pair
     # fails to commute and their product has infinite order
-    for i, v in enumerate(vs):
-        for w in vs[i + 1 :]:
-            if not p.has_edge(v, w):
-                return OddFunction(side=vs, power_base=normal_form(p, [(v, 1), (w, 1)]))
-    raise AssertionError("non-C_2^k side without odd support")
+    v, w = next((v, w) for i, v in enumerate(vs) for w in vs[i + 1:] if not p.has_edge(v, w))
+    return OddFunction(side=vs, power_base=normal_form(p, [(v, 1), (w, 1)]))
 
 
 @dataclass(frozen=True)

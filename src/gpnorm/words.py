@@ -108,8 +108,7 @@ def multiply(p: Presentation, x: NormalWord, y: NormalWord) -> NormalWord:
         z = x or y
         if not isinstance(z, NormalWord):
             return normal_form(p, z)
-        for v, _ in z:
-            p.index(v)  # raises on a vertex not in p
+        p._mask(v for v, _ in z)  # raises on a vertex not in p
         return z
     return next(_products(p, x, (y,)))
 
@@ -245,11 +244,10 @@ def generator(p: Presentation, v: str, e: int = 1) -> NormalWord:
 
 
 def retract(p: Presentation, X: Iterable[str], x: NormalWord) -> NormalWord:
-    """Image under the standard retraction killing all generators outside X."""
-    keep = dict.fromkeys(X)  # ordered: an unknown vertex is named in input order
-    for v in keep:
-        p.index(v)
-    return normal_form(p, [s for s in x if s.vertex in keep])
+    """Image under the standard retraction killing all generators outside X.
+    A vertex of X or a syllable of x outside p raises PresentationError."""
+    keep = p._mask(X)
+    return normal_form(p, [s for s in x if keep >> p.index(s.vertex) & 1])
 
 
 def exponent_weight(x: NormalWord) -> int:
@@ -265,15 +263,13 @@ def _free_runs(p: Presentation, M: Iterable[str], x: NormalWord) -> list[tuple[s
     order recovers x, and each block is a canonical nontrivial element of
     its side.
     """
-    left = dict.fromkeys(M)  # ordered: an unknown vertex is named in input order
-    for v in left:
-        p.index(v)
+    left, index = p._mask(M), p._index
     for a, b in p.edges:
-        if (a in left) != (b in left):
+        if (left >> index[a] ^ left >> index[b]) & 1:
             raise PresentationError(
                 f"not a free-product split: edge {a}-{b} joins the two sides"
             )
-    side_of = {v: "L" if v in left else "R" for v in p._index}
+    side_of = {v: "L" if left >> i & 1 else "R" for v, i in index.items()}
     try:
         runs = groupby(x, lambda s: side_of[s[0]])
         return [(side, tuple(run)) for side, run in runs]

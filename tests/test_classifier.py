@@ -366,7 +366,9 @@ def _verify_edited_psl(psl, edit):
     (lambda pl: pl.update(defect="1/100"), "split-defect-constant"),
     (lambda pl: pl["sigma_right"]["table"].update({"a": "0"}), "split-odd-support"),
     (lambda pl: pl["sigma_right"].update(power_base="b"), "split-power-base"),  # b has order 3
-], ids=["not-odd", "defect-1/100", "support", "power-base"])
+    # an odd function's side is the split's side, not a free label
+    (lambda pl: pl["sigma_left"].update(side=["zz"]), "split-odd-support"),
+], ids=["not-odd", "defect-1/100", "support", "power-base", "side"])
 def test_forged_split_qm_fails_named_check(psl, edit, check):
     assert _failed(_verify_edited_psl(psl, edit)) == {check}
 

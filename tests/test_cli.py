@@ -436,6 +436,8 @@ WRONG_TYPES = {
                                      {"table": {"b": "1/0", "b^2": "-1"}}),
     "exponent-defect": ("psl", ("certificate", "payload"), {"defect": "1e999999999"}),
     "nan-defect": ("psl", ("certificate", "payload"), {"defect": "nan"}),
+    # more digits than int() converts
+    "long-defect": ("psl", ("certificate", "payload"), {"defect": "1" * 5001}),
 }
 
 
@@ -511,11 +513,18 @@ def test_rejected_generator_literal(corpus_dir, capsys, literal):
 
 @pytest.mark.parametrize("text", ['{"vertices": [1, 2]}', '{"vertices": {"id": "a"}}',
                                   '{"vertices": [{"id": "a", "factors": 6}]}',
-                                  '{"vertices": [{"id": "a", "order": 2}], "edges": [1]}'])
+                                  '{"vertices": [{"id": "a", "order": 2}], "edges": [1]}',
+                                  # ids and endpoints are JSON strings, not str() of a value
+                                  '{"vertices": [{"id": null, "order": 2}]}',
+                                  '{"vertices": [{"id": [1], "order": 3}]}',
+                                  '{"vertices": [{"id": "1", "order": 2}, {"id": "b", "order": 2}],'
+                                  ' "edges": [[1, "b"]]}'])
 def test_malformed_presentation_exits_1(tmp_path, capsys, text):
     path = tmp_path / "bad.json"
     path.write_text(text)
+    start = time.perf_counter()
     code, out, err = run(capsys, "classify", str(path))
+    assert time.perf_counter() - start < 1
     assert (code, out, err.count("\n")) == (1, "", 1) and err.startswith("gpnorm: error:")
 
 

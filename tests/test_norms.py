@@ -24,6 +24,7 @@ from gpnorm import (
     orbit,
     parse_word,
     power,
+    random_presentation,
 )
 from gpnorm import automorphisms, norms, words
 from gpnorm.corpus import random_word
@@ -219,6 +220,28 @@ def test_norm_lower_split_qm(psl):
         assert norm_lower(psl, power(psl, ab, n), cert) == Fraction(n, 6)
 
 
+def test_norm_lower_is_homogeneous():
+    """norm_lower(x^n) = n * norm_lower(x), which distortion_table relies on:
+    seeded words under the HOMOMORPHISM and SPLIT_QM certificates of seeded
+    random presentations."""
+    rng = random.Random("homogeneous-lower")
+    found = {"HOMOMORPHISM": 0, "SPLIT_QM": 0}
+    nonzero = 0
+    while min(found.values()) < 8:
+        p = random_presentation(rng, 6)
+        cert = classify(p).certificate
+        if cert.kind not in found:
+            continue
+        found[cert.kind] += 1
+        for _ in range(4):
+            x = random_word(p, rng, 8)
+            lower = norm_lower(p, x, cert)
+            nonzero += lower != 0
+            for n in (2, 3, 7):
+                assert norm_lower(p, power(p, x, n), cert) == n * lower, (repr(p), x, n)
+    assert nonzero >= 16
+
+
 def test_norm_lower_rejects_other_kinds(z2, f2):
     bounded_cert = classify(z2).certificate
     with pytest.raises(ValueError):
@@ -232,7 +255,7 @@ def test_norm_lower_rejects_malformed_certificates(psl):
     # norm_lower reads a certificate as it stands; each guard names its fault
     cert = classify(psl).certificate
     cases = {
-        r"unknown vertices \['b'\]": replace(cert, chain=(("a",), ("b",))),
+        "unknown vertex 'b'": replace(cert, chain=(("a",), ("b",))),
         "single Z vertex": replace(cert, kind="HOMOMORPHISM", chain=(("a",),)),
         "without quasimorphism payload": replace(cert, split_qm=None),
         "unknown certificate kind 'NOPE'": replace(cert, kind="NOPE"),

@@ -506,6 +506,10 @@ def test_retract():
     assert retract(PATH, PATH.vertex_ids, w) == w
     with pytest.raises(PresentationError):
         retract(PATH, ["zzz"], w)
+    # a syllable outside the presentation is refused, as normal_form does,
+    # even when the retraction would kill it
+    with pytest.raises(PresentationError, match="unknown vertex 'zzz'"):
+        retract(PATH, ["a"], NormalWord((Syllable("a", 1), Syllable("zzz", 1))))
 
 
 def test_lengths():
