@@ -145,7 +145,8 @@ def _unit_group_generators(n: int) -> list[int]:
     for odd primes, {-1, 5} for 2^k with k >= 3, {-1} for 4, nothing for 2.
 
     A unit g is a primitive root iff g^(phi/q) != 1 for every prime q
-    dividing phi = phi(n), since its order divides phi."""
+    dividing phi = phi(n), since its order divides phi.  Every odd prime
+    power has one (Gauss), so the search below finds it."""
     prime = _factorization(n)[0][0]
     if prime == 2:
         if n == 2:
@@ -155,10 +156,8 @@ def _unit_group_generators(n: int) -> list[int]:
         return [n - 1, 5]
     phi = n - n // prime
     qs = [q for q, _ in _factorization(phi)]
-    for g in range(2, n):
-        if g % prime and all(pow(g, phi // q, n) != 1 for q in qs):
-            return [g]
-    raise AssertionError(f"no primitive root mod {n}")
+    return [next(g for g in range(2, n)
+                 if g % prime and all(pow(g, phi // q, n) != 1 for q in qs))]
 
 
 def aut0_generators(p: Presentation) -> list[AutGen]:

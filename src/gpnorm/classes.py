@@ -138,7 +138,7 @@ def tau_structure(p: Presentation) -> TauStructure:
     ids = p.vertex_ids
     tau = {(v, v) for v in ids}.union(transvections(p))
     # classes: mutual <=_tau, ordered by least declaration index
-    assigned: dict[str, int] = {}
+    assigned: set[str] = set()
     classes: list[tuple[str, ...]] = []
     for v in ids:
         if v in assigned:
@@ -146,10 +146,8 @@ def tau_structure(p: Presentation) -> TauStructure:
         cls = tuple(
             w for w in ids if (v, w) in tau and (w, v) in tau
         )
-        idx = len(classes)
         classes.append(cls)
-        for w in cls:
-            assigned[w] = idx
+        assigned.update(cls)
     types = []
     for cls in classes:
         orders = [p.order(v) for v in cls]

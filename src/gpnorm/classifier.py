@@ -35,6 +35,7 @@ from .quasimorphisms import (
 )
 from .words import (
     NormalWord,
+    _split,
     commutator,
     generator,
     invert,
@@ -126,10 +127,7 @@ def _split_witness(p: Presentation, qm: SplitQM) -> NormalWord:
     def pick(sigma: OddFunction) -> NormalWord:
         if sigma.power_base is not None:
             return sigma.power_base
-        for w, val in sigma.table:
-            if val == 1:
-                return w
-        return generator(p, sigma.side[0])
+        return next((w for w, val in sigma.table if val == 1), None) or generator(p, sigma.side[0])
 
     return multiply(p, pick(qm.sigma_left), pick(qm.sigma_right))
 
@@ -156,11 +154,11 @@ def _classify(p: Presentation) -> Verdict:
     so Lk(x) subset St(u): there is none.  A Dinf vertex u gives x <=_tau u
     unless x commutes with its partner, so x commutes with all of V - M.
 
-    L empty: a finite M adds finite factors and Z^k adds k Z factors, so if W
-    is not of bounded form, M is free, or M is one Z vertex and V - M has no
-    Z.  Then M is a lower cone.  Only an infinite s can lie below a t in M.
-    For a free M, Lk(s) contains M, which lies in no St(t); a single Z
-    vertex M leaves no infinite vertex in V - M.
+    L empty: a finite M adds finite factors and Z^k adds k Z factors, so W is
+    of bounded form unless M is free, or M is one Z vertex and V - M has no
+    Z (n = 0 in its certificate).  Then M is a lower cone.  Only an infinite
+    s can lie below a t in M.  For a free M, Lk(s) contains M, which lies in
+    no St(t); a single Z vertex M leaves no infinite vertex in V - M.
 
     L nonempty: the complement components of L refine those of V - M, so W_L
     has bounded form and its Z factors are its infinite vertices."""
@@ -196,10 +194,10 @@ def _classify(p: Presentation) -> Verdict:
     L = tuple(v for v in rest if any(not p.has_edge(v, w) for w in M))
     if not L:
         trace.append("L empty: direct product W_M x W_{V-M}")
-        if cl.join_decomposition(p).bounded_form:
-            return _bounded_verdict(p, trace)
         if mtype.kind == cl.FREE:
             return _unbounded(_free_citation(p, M, (M,)), trace + ["retract to free class M"])
+        if mtype.rank != 1 or sub.certificate.n:
+            return _bounded_verdict(p, trace)
         return _unbounded(_homomorphism(p, M[0], (M,)), trace + ["retract to the unique Z vertex"])
 
     zs = [v for v in L if p.order(v) is None]
@@ -487,15 +485,13 @@ def verify_certificate(p: Presentation, verdict: Verdict) -> Report:
     if qm is None:
         rep.add("split-qm", False, "missing quasimorphism payload")
         return rep
-    left = set(qm.left)
-    cross = [e for e in final.edges if (e[0] in left) != (e[1] in left)]
-    valid = not cross and left < set(final.vertex_ids)
-    rep.add("split-valid", valid, f"M={qm.left}")
-    if not valid:
+    try:
+        sides = _split(final, qm.left)
+    except PresentationError:
+        rep.add("split-valid", False, f"M={qm.left}")
         return rep
+    rep.add("split-valid", True, f"M={qm.left}")
     sigmas = (qm.sigma_left, qm.sigma_right)
-    ids = final.vertex_ids
-    sides = (tuple(v for v in ids if v in left), tuple(v for v in ids if v not in left))
     faults: dict[str, str] = {}
     for label, sigma, side in zip(("left", "right"), sigmas, sides):
         for name, detail in _odd_function_faults(final, sigma, side):

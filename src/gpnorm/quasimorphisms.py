@@ -26,9 +26,9 @@ from typing import Iterable
 from .presentation import (Presentation, PresentationError, _ids_from_json, _json_value,
                            _rational_from_json)
 from .words import (
-    IDENTITY,
     NormalWord,
     _free_runs,
+    _split,
     multiply,
     normal_form,
     parse_word,
@@ -100,7 +100,7 @@ def _power_of(p: Presentation, base: NormalWord, x: NormalWord) -> int | None:
     return k if power(p, base, k) == x else None
 
 
-def _is_elementary_two(p: Presentation, side: set[str]) -> bool:
+def _is_elementary_two(p: Presentation, side: Iterable[str]) -> bool:
     """True iff the standard subgroup on `side` is C_2^k: all orders two and
     the induced subgraph complete."""
     return all(p.order(v) == 2 for v in side) and p.is_clique(side)
@@ -115,8 +115,9 @@ def default_odd_function(p: Presentation, side: Iterable[str]) -> OddFunction:
     product of the least non-commuting pair of involutions (an infinite-order
     element), which exists whenever the side is not C_2^k.
     """
-    vs = tuple(sorted(dict.fromkeys(side), key=p.index))  # raises in input order
-    if not vs or _is_elementary_two(p, set(vs)):
+    mask = p._mask(side)  # raises in input order
+    vs = tuple(v for i, v in enumerate(p.vertex_ids) if mask >> i & 1)
+    if not vs or _is_elementary_two(p, vs):
         return OddFunction(side=vs)
     for v in vs:
         n = p.order(v)
@@ -156,20 +157,14 @@ class SplitQM:
 def make_split_qm(p: Presentation, M: Iterable[str]) -> SplitQM:
     """Build the default split quasimorphism for the split (M | V - M).
 
-    Raises when the split is invalid or both sides are C_2^k (then every odd
-    function vanishes and no nonzero split quasimorphism exists).
+    Raises when ``_split`` rejects the split or both sides are C_2^k (then
+    every odd function vanishes and no nonzero split quasimorphism exists).
     """
-    left = tuple(sorted(dict.fromkeys(M), key=p.index))
-    right = tuple(v for v in p.vertex_ids if v not in set(left))
-    if not left or not right:
-        raise PresentationError("split must have two nonempty sides")
-    _free_runs(p, left, IDENTITY)  # validates the split
-    s1 = default_odd_function(p, left)
-    s2 = default_odd_function(p, right)
+    s1, s2 = (default_odd_function(p, side) for side in _split(p, M))
     if s1.is_zero and s2.is_zero:
         raise PresentationError("both sides are C_2^k: no nonzero odd function")
     defect = 3 * max(s1.sup_norm, s2.sup_norm)
-    return SplitQM(left=left, sigma_left=s1, sigma_right=s2, defect=defect)
+    return SplitQM(left=s1.side, sigma_left=s1, sigma_right=s2, defect=defect)
 
 
 def _sigma_sum(p: Presentation, q: SplitQM, runs) -> Fraction:

@@ -55,9 +55,9 @@ within one call it makes at most one new object per (vertex, exponent),
 shared by all the products it yields.  The table of those objects costs a
 lookup per new syllable but stays: without it, peak RSS in perfbench
 ``arith_long`` (seed 71, 8 s runs) went from 43-44 to 47.5-48.6 MB (+10 %).
-``_free_runs`` takes the one-side runs of a canonical word as its
-free-product blocks as they stand: no syllable commutes across a
-free-product split, so each run is already reduced and lex-least.
+``_split`` alone decides a free-product split W_M * W_{V-M}.  ``_free_runs``
+takes the one-side runs of a canonical word as blocks as they stand: no
+syllable commutes across the split, so each is already reduced and lex-least.
 
 Finite-order exponents are stored in {1, ..., n-1}; infinite-order exponents
 are arbitrary nonzero integers.
@@ -255,21 +255,29 @@ def exponent_weight(x: NormalWord) -> int:
     return sum(abs(e) for _, e in x)
 
 
-def _free_runs(p: Presentation, M: Iterable[str], x: NormalWord) -> list[tuple[str, tuple]]:
-    """The blocks of x along the free-product decomposition W = W_M * W_{V-M},
-    as (side, syllable tuple) pairs with side "L" in M and "R" outside.
-
-    Requires that no edge joins M and V-M.  Concatenating the blocks in
-    order recovers x, and each block is a canonical nontrivial element of
-    its side.
-    """
+def _split(p: Presentation, M: Iterable[str]) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The sides (M, V - M) of the free-product split W = W_M * W_{V-M}, each
+    in declaration order.  Raises PresentationError on a vertex of M outside
+    p (the first in input order), on an empty side, and on an edge joining
+    the sides (the first in declaration order)."""
     left, index = p._mask(M), p._index
+    sides = tuple(tuple(v for v, i in index.items() if (left >> i & 1) == s) for s in (1, 0))
+    if not all(sides):
+        raise PresentationError("split must have two nonempty sides")
     for a, b in p.edges:
         if (left >> index[a] ^ left >> index[b]) & 1:
             raise PresentationError(
                 f"not a free-product split: edge {a}-{b} joins the two sides"
             )
-    side_of = {v: "L" if left >> i & 1 else "R" for v, i in index.items()}
+    return sides
+
+
+def _free_runs(p: Presentation, M: Iterable[str], x: NormalWord) -> list[tuple[str, tuple]]:
+    """The blocks of x along the free-product split (M | V - M) that
+    ``_split`` checks, as (side, syllable tuple) pairs with side "L" in M and
+    "R" outside.  Concatenating the blocks in order recovers x, and each
+    block is a canonical nontrivial element of its side."""
+    side_of = {v: side for side, vs in zip("LR", _split(p, M)) for v in vs}
     try:
         runs = groupby(x, lambda s: side_of[s[0]])
         return [(side, tuple(run)) for side, run in runs]

@@ -37,6 +37,13 @@ from gpnorm.presentation import PresentationError
 from conftest import pres
 
 
+def _is_prime_power(n):
+    q = next(d for d in range(2, n + 1) if n % d == 0)  # the least prime factor
+    while n % q == 0:
+        n //= q
+    return n == 1
+
+
 def test_unit_group_generators():
     assert _unit_group_generators(2) == []
     assert _unit_group_generators(4) == [3]
@@ -45,8 +52,11 @@ def test_unit_group_generators():
     # 3 is a primitive root mod 7 and mod 49
     assert _unit_group_generators(7) == [3]
     assert _unit_group_generators(49) == [3]
-    # generated subgroup really is the whole unit group
-    for n in (4, 8, 16, 5, 9, 25, 27):
+    # generated subgroup really is the whole unit group, for every odd prime
+    # power below 2,000 (each has a primitive root: Gauss)
+    odd_prime_powers = [n for n in range(3, 2000, 2) if _is_prime_power(n)]
+    assert odd_prime_powers[:8] == [3, 5, 7, 9, 11, 13, 17, 19] and 3**6 in odd_prime_powers
+    for n in (4, 8, 16, *odd_prime_powers):
         gens = _unit_group_generators(n)
         group = {1}
         frontier = [1]

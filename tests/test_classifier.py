@@ -20,7 +20,7 @@ from gpnorm import (
     verify_certificate,
     word_literal,
 )
-from gpnorm import automorphisms, classifier, corpus, norms
+from gpnorm import automorphisms, classes, classifier, corpus, norms
 from gpnorm.automorphisms import apply_gen, aut0_generators
 from gpnorm.classes import FREE, FREE_ABELIAN, tau_structure
 from gpnorm.classifier import (
@@ -65,6 +65,33 @@ def test_classify_known_cases(p, bounded, kind):
 def test_classify_requires_primary():
     with pytest.raises(PresentationError):
         classify(pres({"a": 6}))
+
+
+def test_primary_only_entry_points_reject_an_unexpanded_presentation():
+    p = corpus.named_presentation("c6_star_z")  # a has order 6
+    for entry in (classify, tau_structure, join_decomposition, aut0_generators):
+        with pytest.raises(PresentationError, match="primary"):
+            entry(p)
+
+
+@pytest.mark.parametrize("p,calls", [
+    (pres({"a": None, "b": None, "c": 3}, [("a", "b"), ("a", "c"), ("b", "c")]), 2),
+    (expand_to_primary(corpus.named_presentation("z2_x_dinf")), 3),
+])
+def test_classify_decomposes_only_for_bounded_certificates(monkeypatch, p, calls):
+    """An L-empty node reads its verdict off the class of M and the
+    certificate of V - M: join_decomposition runs only to build a bounded
+    certificate, once per bounded node of the recursion."""
+    seen = []
+    real = classes.join_decomposition
+
+    def counting(q):
+        seen.append(q)
+        return real(q)
+    monkeypatch.setattr(classes, "join_decomposition", counting)
+    verdict = classify(p)
+    assert verdict.bounded and len(seen) == calls
+    assert verify_certificate(p, verdict).passed
 
 
 def test_dinf_certificate_payload():

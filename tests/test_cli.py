@@ -300,6 +300,7 @@ TAMPERED = {
     "chain-not-nested": ("chain", [["c"], ["a", "b", "c"]], 2, "chain-subset"),
     "chain-unknown-vertices": ("chain", [["a", "q", "r", "s"]], 1, "unknown vertex 'q'"),
     "split-side-outside-step": ("split_left", ["q", "r", "s"], 2, "split-valid"),
+    "split-side-empty": ("split_left", [], 2, "split-valid"),
 }
 
 

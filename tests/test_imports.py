@@ -1,9 +1,11 @@
 """Import hygiene without a lint tool: no module imports a name it never
 uses, every public name resolves, and so does every function that the
-benchmark's tracer wraps."""
+benchmark's tracer wraps; every module-level function of gpnorm is named
+somewhere besides its definition."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import gpnorm
@@ -34,6 +36,22 @@ def test_no_unused_imports():
     paths += sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("scripts/*.py"))
     assert paths
     assert [entry for p in paths for entry in unused_imports(p)] == []
+
+
+def test_no_orphan_functions():
+    """A module-level def in src/gpnorm that nothing in src/, tests/,
+    scripts/ or perfbench/ names besides its own definition is an orphan:
+    a consolidation left it behind."""
+    texts = [path.read_text() for folder in ("src", "tests", "scripts", "perfbench")
+             for path in sorted((ROOT / folder).rglob("*.py"))]
+    orphans = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                name = re.compile(rf"\b{node.name}\b")
+                if sum(len(name.findall(text)) for text in texts) < 2:
+                    orphans.append(f"{path.name}:{node.lineno} {node.name}")
+    assert orphans == []
 
 
 def test_public_names_resolve():

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -93,6 +94,10 @@ def test_make_split_qm_validation():
         make_split_qm(pres({"a": 2, "b": 2}), ["a", "b"])  # empty right side
     with pytest.raises(PresentationError):
         make_split_qm(pres({"a": 2, "b": 2}), ["a"])  # both sides C_2
+    with pytest.raises(PresentationError, match="two nonempty sides"):
+        make_split_qm(PSL, [])  # empty M
+    with pytest.raises(PresentationError, match="unknown vertex 'r'"):
+        make_split_qm(PSL, ["a", "r", "q"])  # the first unknown vertex in input order
 
 
 CROSSING_EDGE = """
@@ -334,6 +339,15 @@ def test_split_evaluation_rejects_unknown_vertex_and_crossing_edge():
             call(PSL, x)
         with pytest.raises(PresentationError, match="edge a-b joins"):
             call(crossed, ab)
+
+
+def test_split_evaluation_rejects_an_empty_side():
+    q = replace(make_split_qm(PSL, ["a"]), left=("a", "b"))
+    ab = parse_word(PSL, "a b")
+    for call in (lambda: split_qm_eval(PSL, q, ab), lambda: homogenize(PSL, q, ab, "exact"),
+                 lambda: homogenize(PSL, q, ab, "estimate", 4)):
+        with pytest.raises(PresentationError, match="two nonempty sides"):
+            call()
 
 
 def test_repeated_table_entry_first_wins():
