@@ -8,6 +8,13 @@ Three relations on the vertex set:
                    either #G_v infinite and v <= w, or both orders are powers
                    of the same prime and v <=_s w.
 
+<=_tau is transitive: take u <=_tau v <=_tau w, u != w.  Star containment
+and "same prime" are transitive, and an infinite u below a finite v below w
+has Lk(u) subset St(v) subset St(w).  For u, v infinite, Lk(u) subset St(v)
+and Lk(v) subset St(w) give Lk(u) subset St(w): an x in Lk(u) other than v
+lies in Lk(v), and if v is in Lk(u), then u in Lk(v) subset St(w), u != w,
+puts w in Lk(u) subset St(v), so v is in St(w).
+
 Every reader of <=_tau reads its pairs from ``transvections``, the one place
 it is decided.  Mutual <=_tau partitions the vertices into classes of three
 kinds: free abelian (infinite orders, pairwise commuting), free (infinite
@@ -112,13 +119,8 @@ class TauStructure:
     class_order: frozenset[tuple[int, int]]  # (i, j) means classes[i] <= classes[j]
 
     def maximal_classes(self) -> tuple[int, ...]:
-        out = []
-        for i in range(len(self.classes)):
-            if not any(
-                (i, j) in self.class_order and i != j for j in range(len(self.classes))
-            ):
-                out.append(i)
-        return tuple(out)
+        below = {i for i, j in self.class_order if i != j}
+        return tuple(i for i in range(len(self.classes)) if i not in below)
 
     def hasse_edges(self) -> tuple[tuple[int, int], ...]:
         """Transitive reduction of the strict class order."""
@@ -137,17 +139,10 @@ def tau_structure(p: Presentation) -> TauStructure:
         raise PresentationError("tau structure requires a primary presentation")
     ids = p.vertex_ids
     tau = {(v, v) for v in ids}.union(transvections(p))
-    # classes: mutual <=_tau, ordered by least declaration index
-    assigned: set[str] = set()
-    classes: list[tuple[str, ...]] = []
-    for v in ids:
-        if v in assigned:
-            continue
-        cls = tuple(
-            w for w in ids if (v, w) in tau and (w, v) in tau
-        )
-        classes.append(cls)
-        assigned.update(cls)
+    # mutual <=_tau is an equivalence, so each vertex names its own class;
+    # the first time a class is named is at its least vertex
+    classes = list(dict.fromkeys(
+        tuple(w for w in ids if (v, w) in tau and (w, v) in tau) for v in ids))
     types = []
     for cls in classes:
         orders = [p.order(v) for v in cls]
@@ -157,11 +152,9 @@ def tau_structure(p: Presentation) -> TauStructure:
             types.append(ClassType(FREE_ABELIAN, rank=len(cls)))
         else:
             types.append(ClassType(FREE, rank=len(cls)))
-    order = set()
-    for i, ci in enumerate(classes):
-        for j, cj in enumerate(classes):
-            if (ci[0], cj[0]) in tau:
-                order.add((i, j))
+    # a preorder orders classes through any one vertex of each
+    order = {(i, j) for i, ci in enumerate(classes) for j, cj in enumerate(classes)
+             if (ci[0], cj[0]) in tau}
     return TauStructure(tuple(classes), tuple(types), frozenset(order))
 
 

@@ -55,13 +55,18 @@ from .words import (IDENTITY, NormalWord, _bfs, _canonical_products, _first_star
                     invert, multiply, retract)
 
 
-def _ball(p: Presentation, gens: list[NormalWord], radius: int) -> dict[NormalWord, int]:
-    """Distances from the identity in the (gens + inverses)-ball, built by the
-    two rules of the module docstring."""
+def norm_ball(p: Presentation, gens, radius: int) -> dict[NormalWord, int]:
+    """The (gens + inverses)-ball B_h, h = ceil(radius/2), that ``norm_upper``
+    reads at this radius, as distances from the identity, built by the two
+    rules of the module docstring; reusable across queries."""
+    if radius < 1:
+        raise ValueError("radius must be >= 1")
+    elements = getattr(gens, "elements", gens)  # an OrbitSet or a word list
+    gens = [g for g in elements if g]
     invs = list(_products(p, (), [[(v, -e) for v, e in reversed(g)] for g in gens]))
     sym = list(dict.fromkeys(gens + invs))
-    ball = {IDENTITY: 0, **dict.fromkeys((g for g in sym if g), 1)}
-    if radius < 2 or len(ball) == 1:  # no generator: nothing to expand
+    ball = {IDENTITY: 0, **dict.fromkeys(sym, 1)}
+    if radius < 3 or not sym:  # h < 2, or no generator: nothing to expand
         return ball
     index, adj = p._index, p._adj_mask
     inverse = {**dict(zip(invs, gens)), **dict(zip(gens, invs))}
@@ -80,16 +85,7 @@ def _ball(p: Presentation, gens: list[NormalWord], radius: int) -> dict[NormalWo
                      if j != inv and (j >= k or supports[j] & ~centre)]
         return _canonical_products(p, x, tried)
 
-    return _bfs(ball, expand, radius - 1)[0]
-
-
-def norm_ball(p: Presentation, gens, radius: int) -> dict[NormalWord, int]:
-    """The ball of radius ceil(radius/2) that ``norm_upper`` reads at this
-    radius, as distances from the identity; reusable across queries."""
-    if radius < 1:
-        raise ValueError("radius must be >= 1")
-    elements = getattr(gens, "elements", gens)  # an OrbitSet or a word list
-    return _ball(p, [g for g in elements if g], (radius + 1) // 2)
+    return _bfs(ball, expand, (radius - 1) // 2)[0]  # the h - 1 layers after B_1
 
 
 def norm_upper(
@@ -101,9 +97,11 @@ def norm_upper(
 
     With h = ceil(radius/2), x is read from the ball B_h if it lies there.
     Otherwise let m be the largest distance in the ball: x is outside B_m,
-    so its norm is at least m + 1, and if m + 1 > radius the answer is None.
-    Else the answer is the least d(w) + d(u) <= radius over w in B_h with
-    u = x^-1 w in B_h; the scan stops at the first total equal to m + 1.
+    so its norm is at least m + 1.  The answer is the least d(w) + d(u) <=
+    radius over w in B_h with u = x^-1 w in B_h; the scan stops at the first
+    total equal to m + 1.  A floor above the radius needs no check of its
+    own: for radius >= 2 there is none, as m <= h < radius, and at radius 1
+    a total <= 1 needs w = 1 or u = 1, which puts x in the ball.
     The ball is symmetric, so u^-1 lies in it at the distance of u, and
     x = w u^-1 is a factorization of that length.  It is exact because any
     x = g_1 ... g_n with h < n <= 2h has w = g_1 ... g_{n-h} and
@@ -125,8 +123,6 @@ def norm_upper(
     if x in ball:
         return ball[x]
     floor = max(ball.values()) + 1
-    if floor > radius:
-        return None
     best: int | None = None
     for dw, u in zip(ball.values(), _products(p, invert(p, x), ball)):
         du = ball.get(u)

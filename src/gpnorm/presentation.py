@@ -266,7 +266,9 @@ def parse_presentation(source: str | dict) -> Presentation:
 
     Format: {"vertices": [{"id": "a", "order": 2}, {"id": "c", "factors":
     [6, "inf"]}], "edges": [["a", "c"]]}.  ``order`` and ``factors`` are
-    mutually exclusive per vertex.
+    mutually exclusive per vertex.  An id is nonempty and holds no
+    whitespace, backslash or any of ``^ , ( ) : "``: the separators of the
+    word, generator and DOT grammars, so each of them can name every id.
     """
     if isinstance(source, dict):
         obj = source
@@ -286,6 +288,9 @@ def parse_presentation(source: str | dict) -> Presentation:
         vid = item.get("id")
         if type(vid) is not str:  # not str(): null is not the vertex 'None'
             raise PresentationError(f"vertex {item!r}: the id must be a string")
+        if not re.fullmatch(r'[^\s^,():"\\]+', vid):  # word, generator and DOT separators
+            raise PresentationError(f"vertex id {vid!r}: must be nonempty, without "
+                                    "whitespace, backslash or any of ^ , ( ) : \"")
         if "order" in item and "factors" in item:
             raise PresentationError(f"vertex {vid!r}: order and factors are exclusive")
         if "order" in item:

@@ -84,20 +84,15 @@ def _power_of(p: Presentation, base: NormalWord, x: NormalWord) -> int | None:
     """k with x = base^k, or None.  base is a single infinite-order syllable
     or a product of two non-commuting involutions; x is not the identity."""
     if len(base) == 1 and p.order(base[0].vertex) is None:
-        if len(x) == 1 and x[0].vertex == base[0].vertex:
-            e = x[0].exponent
-            b = base[0].exponent
-            if e % b == 0:
-                return e // b
+        v, b = base[0]
+        if len(x) == 1 and x[0].vertex == v and x[0].exponent % b == 0:
+            return x[0].exponent // b
         return None
-    # two-involution base: (vw)^k has 2k syllables and starts with v for
-    # k > 0, with w for k < 0
-    if len(x) % len(base) != 0:
-        return None
+    # two non-commuting involutions neither move past nor merge with each
+    # other, so (vw)^k is the concatenation base * k for k > 0 and
+    # base[::-1] * |k| for k < 0; an x of any other length matches neither
     k = len(x) // len(base)
-    if x[0].vertex != base[0].vertex:
-        k = -k
-    return k if power(p, base, k) == x else None
+    return k if x == base * k else -k if x == base[::-1] * k else None
 
 
 def _is_elementary_two(p: Presentation, side: Iterable[str]) -> bool:

@@ -20,8 +20,9 @@ failure names the part that changed.  Each family of parts has its own test.
   shapes and seeded random presentations, and on both quadratic back-scan
   families of the ``words`` docstring at 1,024 syllables.
 
-Regenerate the file only with ``python scripts/update_answers.py``, and list
-each changed part with its cause in CHANGES.md.
+Regenerate the file only with ``python scripts/update_pins.py``, which also
+rewrites ``tests/golden.json``, and list each changed part with its cause
+in CHANGES.md.
 """
 
 from __future__ import annotations

@@ -168,6 +168,13 @@ def test_transvections_match_referee():
         )
         want = [(v, w) for v in ids for w in ids if v != w and leq_tau_referee(p, v, w)]
         assert transvections(p) == want, repr(p)
+        # <=_tau is transitive, so mutual <=_tau is an equivalence whose
+        # classes tau_structure lists by least vertex
+        leq = {(v, w) for v in ids for w in ids if leq_tau_referee(p, v, w)}
+        assert all((u, w) in leq for u, v in leq for w in ids if (v, w) in leq), repr(p)
+        mutual = {tuple(w for w in ids if (v, w) in leq and (w, v) in leq) for v in ids}
+        assert tau_structure(p).classes == tuple(
+            sorted(mutual, key=lambda c: ids.index(c[0]))), repr(p)
         for v in ids:
             for w in ids:
                 assert preorder(p, LEQ_TAU, v, w) == leq_tau_referee(p, v, w), (repr(p), v, w)

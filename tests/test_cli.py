@@ -529,6 +529,22 @@ def test_malformed_presentation_exits_1(tmp_path, capsys, text):
     assert (code, out, err.count("\n")) == (1, "", 1) and err.startswith("gpnorm: error:")
 
 
+# ids the word, generator or DOT grammar cannot name: at the parent of the id
+# rule, classify wrote a certificate whose own verify rejected it, or broken DOT
+@pytest.mark.parametrize("vertices", [
+    [{"id": "a", "order": "inf"}, {"id": "a^2", "order": "inf"}],
+    [{"id": "a b", "order": 2}, {"id": "c", "order": 3}],
+    [{"id": 'x"', "order": 2}],
+], ids=["caret", "space", "quote"])
+def test_unnameable_vertex_id_exits_1(tmp_path, capsys, vertices):
+    path = tmp_path / "ids.json"
+    path.write_text(json.dumps({"vertices": vertices}))
+    code, out, err = run(capsys, "classify", str(path), "--out", str(tmp_path / "v"))
+    assert (code, out, err.count("\n")) == (1, "", 1)
+    assert err.startswith("gpnorm: error: vertex id ")
+    assert not (tmp_path / "v").exists()
+
+
 def test_order_above_ceiling_exits_1(tmp_path, capsys):
     """A vertex of order 2^61 - 1 would need minutes of trial division; it
     is refused at once with one line."""

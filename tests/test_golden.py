@@ -8,8 +8,9 @@ radius 2 and 4, distortion (no SVG) and verify, and verify also reads a
 tampered verdict whose first chain step is not a lower cone, which pins the
 ``chain-lower-cone`` failure detail.
 
-Regenerate the file only with ``python scripts/update_golden.py``, and list
-each changed digest with its cause in CHANGES.md.
+Regenerate the file only with ``python scripts/update_pins.py``, which also
+rewrites ``tests/answers.json``, and list each changed digest with its
+cause in CHANGES.md.
 """
 
 from __future__ import annotations

@@ -28,7 +28,6 @@ from gpnorm import (
 )
 from gpnorm import automorphisms, norms, words
 from gpnorm.corpus import random_word
-from gpnorm.norms import _ball
 from conftest import pres
 
 
@@ -72,13 +71,13 @@ def test_norm_upper_mitm_matches_direct():
     for name, (depth, cap, R) in REFEREE_SHAPES.items():
         p = expand_to_primary(named_presentation(name))
         orb = std_orbit(p, depth, cap)
-        dist = _ball(p, list(orb.elements), R + 1)
+        dist = norm_ball(p, list(orb.elements), 2 * (R + 1))
         outside = [x for x, d in dist.items() if d == R + 1][:20]
         assert outside, name
         words = [(x, d) for x, d in dist.items() if d <= R] + [(x, R + 1) for x in outside]
         for r in range(1, R + 1):
             ball = norm_ball(p, orb, r)
-            assert ball == _ball(p, list(orb.elements), (r + 1) // 2)
+            assert ball == norm_ball(p, list(orb.elements), r)
             balls = (None, ball, dict(reversed(ball.items())))
             for x, d in words:
                 want = d if d <= r else None
@@ -159,7 +158,7 @@ def test_norm_upper_mitm_equals_bfs_distance(psl):
     # the meet-in-the-middle scan reads u = x^-1 w at the distance of u^-1,
     # which relies on the half-radius ball being symmetric
     orb = std_orbit(psl, 2, 4)
-    dist = _ball(psl, list(orb.elements), 4)
+    dist = norm_ball(psl, list(orb.elements), 8)
     assert max(dist.values()) == 4
     for x, d in dist.items():
         assert norm_upper(psl, x, orb, 4) == d

@@ -40,6 +40,21 @@ def test_parse_errors():
         parse_presentation({"vertices": [{"id": "a", "order": 2, "factors": [2]}]})
 
 
+@pytest.mark.parametrize("vid", ["", "a b", "a\tb", "a\nb", "a^2", "a,b", "f(a", "a)",
+                                 "a:b", 'x"', "a\\b"])
+def test_vertex_id_without_grammar_separators(vid):
+    """Whitespace and ^ , ( ) : " \\ separate the word, generator and DOT
+    grammars, so an id holding one, or an empty id, is refused."""
+    with pytest.raises(PresentationError, match="vertex id"):
+        parse_presentation({"vertices": [{"id": vid, "order": 2}]})
+
+
+def test_vertex_ids_outside_the_separators_parse():
+    ids = ["v0", "a.1", "a-b", "x_y", "é", "[a]", "a'"]
+    p = parse_presentation({"vertices": [{"id": v, "order": 2} for v in ids]})
+    assert p.vertex_ids == tuple(ids)
+
+
 def test_declaration_order_is_identity():
     p1 = parse_presentation({"vertices": [{"id": "a", "order": 2}, {"id": "b", "order": 2}]})
     p2 = parse_presentation({"vertices": [{"id": "b", "order": 2}, {"id": "a", "order": 2}]})

@@ -78,13 +78,21 @@ def test_default_odd_function_infinite_sign_rule():
 
 
 def test_default_odd_function_two_involution_side():
-    # D_inf side: support on powers of ab
+    # D_inf side: support on powers of ab, read as repetitions of a b or b a
     p = pres({"a": 2, "b": 2, "c": 3})
     f = default_odd_function(p, ["a", "b"])
     ab = parse_word(p, "a b")
-    assert f.evaluate(p, ab) == 1
-    assert f.evaluate(p, power(p, ab, -3)) == -1
-    assert f.evaluate(p, generator(p, "a")) == 0
+    for k in range(1, 13):
+        assert f.evaluate(p, power(p, ab, k)) == 1, k
+        assert f.evaluate(p, power(p, ab, -k)) == -1, k
+    for lit in ["a", "b", "a b a", "b a b", "a b a b a"]:  # odd lengths: involutions
+        assert f.evaluate(p, parse_word(p, lit)) == 0, lit
+    # C2 * C2 * C2: base a b, and words of its lengths that are not its powers
+    q = pres({"a": 2, "b": 2, "c": 2})
+    g = default_odd_function(q, ["a", "b", "c"])
+    assert g.power_base == parse_word(q, "a b")
+    for lit in ["a c", "a b a c"]:
+        assert g.evaluate(q, parse_word(q, lit)) == 0, lit
 
 
 def test_make_split_qm_validation():
