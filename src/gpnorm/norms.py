@@ -8,14 +8,14 @@ the radius is reported as UNKNOWN (None), never converted into a claim.
 One rule answers every radius r.  ``norm_ball`` builds the ball B_h of
 radius h = ceil(r/2) by the orbit's breadth-first search, ``words._bfs``, one
 frontier word times every generator per step, in that search's discovery
-order.  ``norm_upper`` reads x from it, or else scans w in it for the least
-d(w) + d(x^-1 w) with x^-1 w in it.  This is exact: a
-factorization of length n <= r <= 2h splits as w * (x^-1 w)^-1 with both
-parts of length at most h.  The scan stops as soon as the total reaches
-m + 1, where m is the largest distance in the ball, because an x outside
-B_m has norm at least m + 1.  So a query costs one B_h build plus at most
-one scan of it, and a ball reused across many queries costs one scan per
-query outside it.
+order, so distances never decrease along it.  ``norm_upper`` scans w in that
+order and answers d(w) + d(x^-1 w) at the first w with x^-1 w in the ball.
+This is exact: a factorization of length n <= r <= 2h splits as
+w * (x^-1 w)^-1 with both parts of length at most h, and the first hit has
+the least d(w), which fixes its total at n (the proof is in ``norm_upper``),
+the stopping rule of Pohl's bidirectional search (Machine Intelligence 6,
+1971).  So a query costs one B_h build plus one scan up to its first hit,
+and a ball reused across many queries costs that scan alone.
 
 The ball inverts all the generators in one ``words._products`` pass, and two
 rules drop products from the search without changing its result: the keys,
@@ -66,7 +66,7 @@ def norm_ball(p: Presentation, gens, radius: int) -> dict[NormalWord, int]:
     invs = list(_products(p, (), [[(v, -e) for v, e in reversed(g)] for g in gens]))
     sym = list(dict.fromkeys(gens + invs))
     ball = {IDENTITY: 0, **dict.fromkeys(sym, 1)}
-    if radius < 3 or not sym:  # h < 2, or no generator: nothing to expand
+    if radius < 3:  # h < 2: nothing to expand
         return ball
     index, adj = p._index, p._adj_mask
     inverse = {**dict(zip(invs, gens)), **dict(zip(gens, invs))}
@@ -95,45 +95,36 @@ def norm_upper(
     """Least n <= radius with x a product of n orbit elements or inverses;
     None if no factorization exists within the radius.
 
-    With h = ceil(radius/2), x is read from the ball B_h if it lies there.
-    Otherwise let m be the largest distance in the ball: x is outside B_m,
-    so its norm is at least m + 1.  The answer is the least d(w) + d(u) <=
-    radius over w in B_h with u = x^-1 w in B_h; the scan stops at the first
-    total equal to m + 1.  A floor above the radius needs no check of its
-    own: for radius >= 2 there is none, as m <= h < radius, and at radius 1
-    a total <= 1 needs w = 1 or u = 1, which puts x in the ball.
-    The ball is symmetric, so u^-1 lies in it at the distance of u, and
-    x = w u^-1 is a factorization of that length.  It is exact because any
-    x = g_1 ... g_n with h < n <= 2h has w = g_1 ... g_{n-h} and
-    u^-1 = g_{n-h+1} ... g_n in B_h.  The products x^-1 w share one
-    canonical x^-1 and are made lazily, one per ball element scanned.
+    The answer is d(w) + d(u) at the first w of the ball B_h, in its
+    breadth-first order, with u = x^-1 w in B_h; None if that total exceeds
+    the radius, or if no w hits.  Here h = ceil(radius/2), or more for a
+    ball of a larger radius.  The ball is symmetric, so u^-1 lies in it at
+    the distance of u, and x = w u^-1 is a factorization of that length.
+    It is the norm n of x whenever n <= 2h.  The ball starts at the
+    identity, so if x lies in it (x = 1 included) the first w = 1 hits at
+    d(x^-1) = n.  Otherwise n > h, and every hit has d(u) <= h and
+    d(w) + d(u) >= n, so d(w) >= n - h.  A least factorization
+    x = g_1 ... g_n splits into w = g_1 ... g_{n-h} and
+    u^-1 = g_{n-h+1} ... g_n, a hit with d(w) <= n - h, so the least d(w)
+    of a hit is n - h.  Distances never decrease along the ball, so the
+    first hit has it; then d(u) >= h, so d(u) = h and the total is n.  Any
+    hit at all means n <= 2h, so a scan without one rules out every radius
+    <= 2h.  The products x^-1 w share one canonical x^-1 and are made
+    lazily, one per ball element scanned.
 
-    A precomputed ``ball`` from ``norm_ball`` at the same radius may be
-    passed to amortize the BFS over many queries; it must be symmetric, as
-    ``norm_ball``'s is.  Reuse trades one BFS per query for one scan per
-    query outside the ball; at radius 2 the exit comes at the first hit,
-    but an x of norm above 2 still scans the whole ball.
+    A precomputed ``ball`` may be passed to amortize the BFS over many
+    queries.  It must come from ``norm_ball`` at this radius or a larger
+    one: the proof reads its breadth-first order and its symmetry.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    if not x:
-        return 0
     if ball is None:
         ball = norm_ball(p, gens, radius)
-    if x in ball:
-        return ball[x]
-    floor = max(ball.values()) + 1
-    best: int | None = None
     for dw, u in zip(ball.values(), _products(p, invert(p, x), ball)):
         du = ball.get(u)
-        if du is None:
-            continue
-        total = dw + du
-        if total <= radius and (best is None or total < best):
-            best = total
-            if best == floor:
-                break
-    return best
+        if du is not None:
+            return dw + du if dw + du <= radius else None
+    return None
 
 
 def norm_lower(p: Presentation, x: NormalWord, cert) -> Fraction:

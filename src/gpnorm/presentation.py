@@ -27,10 +27,15 @@ class PresentationError(ValueError):
     """Raised for malformed or inconsistent presentation input."""
 
 
+_VERTEX_ID = re.compile(r'[^\s^,():"\\]+').fullmatch
+
+
 @dataclass(frozen=True)
 class VertexSpec:
     """A vertex: symbolic id plus its cyclic group order (None = infinite).
 
+    An id is nonempty, without whitespace, backslash or any of ``^ , ( ) : "``,
+    the word, generator and DOT separators, so each grammar names every id.
     ``factors`` holds pre-expansion invariant factors and is mutually
     exclusive with ``order``; after ``expand_to_primary`` it is always None.
     """
@@ -40,6 +45,9 @@ class VertexSpec:
     factors: tuple[int | None, ...] | None = None
 
     def __post_init__(self):
+        if not _VERTEX_ID(self.id):
+            raise PresentationError(f"vertex id {self.id!r}: must be nonempty, without "
+                                    "whitespace, backslash or any of ^ , ( ) : \"")
         if self.order is not None and self.factors is not None:
             raise PresentationError(
                 f"vertex {self.id!r}: order and factors are mutually exclusive"
@@ -266,9 +274,7 @@ def parse_presentation(source: str | dict) -> Presentation:
 
     Format: {"vertices": [{"id": "a", "order": 2}, {"id": "c", "factors":
     [6, "inf"]}], "edges": [["a", "c"]]}.  ``order`` and ``factors`` are
-    mutually exclusive per vertex.  An id is nonempty and holds no
-    whitespace, backslash or any of ``^ , ( ) : "``: the separators of the
-    word, generator and DOT grammars, so each of them can name every id.
+    mutually exclusive per vertex; ids follow ``VertexSpec``'s rule.
     """
     if isinstance(source, dict):
         obj = source
@@ -288,9 +294,6 @@ def parse_presentation(source: str | dict) -> Presentation:
         vid = item.get("id")
         if type(vid) is not str:  # not str(): null is not the vertex 'None'
             raise PresentationError(f"vertex {item!r}: the id must be a string")
-        if not re.fullmatch(r'[^\s^,():"\\]+', vid):  # word, generator and DOT separators
-            raise PresentationError(f"vertex id {vid!r}: must be nonempty, without "
-                                    "whitespace, backslash or any of ^ , ( ) : \"")
         if "order" in item and "factors" in item:
             raise PresentationError(f"vertex {vid!r}: order and factors are exclusive")
         if "order" in item:
@@ -357,8 +360,13 @@ def expand_to_primary(p: Presentation) -> Presentation:
 
     Replacement vertices inherit every adjacency of the original and form a
     clique among themselves.  Idempotent on already-primary presentations.
+    A declared id that is also a part id v.i is refused: words would mix them.
     """
     groups = {v.id: _primary_vertices(v) for v in p.vertices}
+    for vid, ws in groups.items():
+        for i, w in enumerate(ws):
+            if w.id != vid and w.id in groups:
+                raise PresentationError(f"vertex id {w.id!r} clashes with part {i} of {vid!r}")
     edges: list[tuple[str, str]] = []
     for ws in groups.values():
         for i, a in enumerate(ws):

@@ -66,8 +66,8 @@ def test_norm_upper_mitm_matches_direct():
     """norm_upper at every radius r <= R equals the distance in one full
     breadth-first ball of radius R + 1, or None beyond r: for every element
     of B_R and a few of the sphere R + 1, with a fresh ball, a reused one,
-    and a reused one in reverse order, where the first total found is not
-    always the least."""
+    and a reused one of the larger radius r + 2, where the first hit can
+    lie beyond the radius."""
     for name, (depth, cap, R) in REFEREE_SHAPES.items():
         p = expand_to_primary(named_presentation(name))
         orb = std_orbit(p, depth, cap)
@@ -78,7 +78,7 @@ def test_norm_upper_mitm_matches_direct():
         for r in range(1, R + 1):
             ball = norm_ball(p, orb, r)
             assert ball == norm_ball(p, list(orb.elements), r)
-            balls = (None, ball, dict(reversed(ball.items())))
+            balls = (None, ball, norm_ball(p, orb, r + 2))
             for x, d in words:
                 want = d if d <= r else None
                 for reused in balls:
@@ -296,7 +296,8 @@ def test_norm_work_counts(monkeypatch):
     orbit starts one pass per word it expands, not one per image, and the two
     ball rules keep the z2_x_dinf and c2c2c2 balls of radius 4 to about a
     half and a third of the products of one pass per (word, generator) pair
-    (1,636 and 462 of them)."""
+    (1,636 and 462 of them).  A query that reuses the ball reads its scan
+    up to the first hit and no further: the whole ball when nothing hits."""
     count = {"passes": 0, "products": 0}
     products = words._products
 
@@ -322,8 +323,20 @@ def test_norm_work_counts(monkeypatch):
         orbit(p, seeds, gens, depth, cap)
         assert count["passes"] == len(seeds) + expanded, name  # normal_form of each seed
         count.update(passes=0, products=0)
-        norm_ball(p, orb, 4)
+        ball = norm_ball(p, orb, 4)
         assert count["products"] <= bound, name
+        monkeypatch.setattr(words, "_products", products)  # count the scan alone
+        rng, firsts = random.Random(name), []
+        for _ in range(30):
+            x = random_word(p, rng, 12)
+            x_inv = invert(p, x)
+            first = next((k for k, w in enumerate(ball) if multiply(p, x_inv, w) in ball), None)
+            firsts.append(first)
+            count.update(products=0)
+            norm_upper(p, x, orb, 4, ball=ball)
+            assert count["products"] == (len(ball) if first is None else first + 1), (name, x)
+        monkeypatch.setattr(words, "_products", counted)
+        assert any(firsts), name  # a first hit past the identity w = 1
 
 
 # counts every product ``words._products`` yields (also through ``automorphisms``

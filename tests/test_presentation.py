@@ -4,6 +4,7 @@ import random
 import pytest
 
 from gpnorm import (
+    Presentation,
     PresentationError,
     VertexSpec,
     expand_to_primary,
@@ -44,9 +45,14 @@ def test_parse_errors():
                                  "a:b", 'x"', "a\\b"])
 def test_vertex_id_without_grammar_separators(vid):
     """Whitespace and ^ , ( ) : " \\ separate the word, generator and DOT
-    grammars, so an id holding one, or an empty id, is refused."""
+    grammars, so an id holding one, or an empty id, is refused: from a file,
+    and from a presentation the library builds, where ``VertexSpec("a b", 2)``
+    next to ``VertexSpec("c", 3)`` would give ``classify`` the unreadable
+    witness ``a b c``."""
     with pytest.raises(PresentationError, match="vertex id"):
         parse_presentation({"vertices": [{"id": vid, "order": 2}]})
+    with pytest.raises(PresentationError, match="vertex id"):
+        Presentation([VertexSpec(vid, 2), VertexSpec("c", 3)], [])
 
 
 def test_vertex_ids_outside_the_separators_parse():
@@ -179,6 +185,16 @@ def test_expand_to_primary_c6():
     assert q.is_primary()
     # idempotent
     assert expand_to_primary(q) == q
+
+
+@pytest.mark.parametrize("order", [2, 6])
+def test_part_id_clash_is_named(order):
+    """a.0 is declared, and is also the name of part 0 of a (order 6 = 2 * 3).
+    A composite a.0 would vanish into its own parts, but the CLI's word
+    reader would still read a.0 as the declared vertex, not as the part."""
+    p = parse_presentation({"vertices": [{"id": "a", "order": 6}, {"id": "a.0", "order": order}]})
+    with pytest.raises(PresentationError, match=r"^vertex id 'a.0' clashes with part 0 of 'a'$"):
+        expand_to_primary(p)
 
 
 def test_expand_factors_vertex():
