@@ -186,7 +186,10 @@ def _prepared(p: Presentation, g: AutGen) -> tuple[int, list]:
     """g made ready to apply to many words: (moved, maps).  ``moved`` is the
     mask of the vertices g moves; ``maps`` holds the image map of g and then
     that of g^-1, or only the first when g is its own inverse.  A map takes a
-    canonical x to a raw word that ``words._products`` makes canonical."""
+    canonical x to a raw word that ``words._products`` makes canonical.  A
+    transvection writes v^e as e copies of v w^q, or |e| copies of w^-q v^-1
+    when e < 0, whether or not v and w commute: ``_products`` merges the
+    copies, so an image costs O(|e|) (``orbit`` caps the exponent weight)."""
     if g.kind == FACTOR:
         v, n, m = g.vertex, p.order(g.vertex), g.unit
         inverse = m if n is None else pow(m, -1, n)  # m = +-1 on an infinite vertex
@@ -196,23 +199,13 @@ def _prepared(p: Presentation, g: AutGen) -> tuple[int, list]:
         return p._mask((v,)), [image(u) for u in dict.fromkeys((m, inverse))]
     if g.kind == TRANSVECTION:
         v, w = g.vertex, g.target
-        q, nw, commute = transvection_exponent(p, v, w), p.order(w), p.has_edge(v, w)
+        q, nw = transvection_exponent(p, v, w), p.order(w)
         involution = nw is not None and 2 * q % nw == 0  # w^(2q) = 1
 
-        def image(q):
-            def transvect(x):
-                out: list[Syllable] = []
-                for s in x:
-                    e = s.exponent
-                    if s.vertex != v:
-                        out.append(s)
-                    elif commute:  # (v w^q)^e = v^e w^(qe)
-                        out += (Syllable(v, e), Syllable(w, q * e))
-                    else:  # (v w^q)^e, written (w^-q v^-1)^|e| when e < 0
-                        out += ((Syllable(v, 1), Syllable(w, q)) if e > 0
-                                else (Syllable(w, -q), Syllable(v, -1))) * abs(e)
-                return out
-            return transvect
+        def image(q):  # v^e -> (v w^q)^e, written (w^-q v^-1)^|e| when e < 0
+            up, down = (Syllable(v, 1), Syllable(w, q)), (Syllable(w, -q), Syllable(v, -1))
+            return lambda x: [t for s in x for t in ((s,) if s.vertex != v else up * s.exponent
+                                                     if s.exponent > 0 else down * -s.exponent)]
         return p._mask((v,)), [image(q) for q in ((q,) if involution else (q, -q))]
     if g.kind == PARTIAL_CONJ:
         v, K = g.vertex, set(g.component)

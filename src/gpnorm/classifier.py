@@ -28,6 +28,7 @@ from .quasimorphisms import (
     OddFunction,
     SplitQM,
     _is_elementary_two,
+    _power_of,
     homogenize,
     make_split_qm,
     split_qm_from_obj,
@@ -330,8 +331,9 @@ def _odd_function_faults(p: Presentation, sigma: OddFunction, side: tuple[str, .
     odd function on the standard subgroup W_side, side in declaration order:
     its side must be that side; the table must hold distinct nontrivial
     elements of W_side and be closed under inversion with sigma(w^-1) =
-    -sigma(w); the power base must be an infinite syllable or a product of
-    two non-commuting involutions of W_side."""
+    -sigma(w); the power base must lie in W_side and have one of the two
+    shapes that carry a sign rule, which ``_power_of(p, base, base) == 1``
+    tests (its docstring names them)."""
     if sigma.side != side:
         yield "split-odd-support", f"side {list(sigma.side)} is not the split's {list(side)}"
     values = dict(sigma.table)
@@ -345,15 +347,11 @@ def _odd_function_faults(p: Presentation, sigma: OddFunction, side: tuple[str, .
                 f"sigma({word_literal(w)}) = {val} but sigma of its inverse is not {-val}"
             )
     base = sigma.power_base
-    if base is not None:
-        vs = [v for v, _ in base]
-        infinite = len(vs) == 1 and p.order(vs[0]) is None
-        dihedral = len(vs) == 2 and p.order(vs[0]) == p.order(vs[1]) == 2 and not p.has_edge(*vs)
-        if not (set(vs) <= set(side) and (infinite or dihedral)):
-            yield "split-power-base", (
-                f"{word_literal(base) or 'e'} is neither an infinite syllable nor "
-                "two non-commuting involutions of W_side"
-            )
+    if base is not None and not (all(v in side for v, _ in base) and _power_of(p, base, base) == 1):
+        yield "split-power-base", (
+            f"{word_literal(base) or 'e'} is neither an infinite syllable nor "
+            "two non-commuting involutions of W_side"
+        )
 
 
 def verify_certificate(p: Presentation, verdict: Verdict) -> Report:

@@ -81,17 +81,23 @@ class OddFunction:
 
 
 def _power_of(p: Presentation, base: NormalWord, x: NormalWord) -> int | None:
-    """k with x = base^k, or None.  base is a single infinite-order syllable
-    or a product of two non-commuting involutions; x is not the identity."""
-    if len(base) == 1 and p.order(base[0].vertex) is None:
+    """k with x = base^k, or None; x is not the identity.  The one test of
+    the bases that carry a sign rule: ``_power_of(p, base, base) == 1`` holds
+    exactly for a single infinite-order syllable and for a product of two
+    non-commuting involutions.  Any other base gives None, so a sign rule on
+    it evaluates to 0."""
+    vs = [v for v, _ in base]
+    if len(vs) == 1 and p.order(vs[0]) is None:
         v, b = base[0]
         if len(x) == 1 and x[0].vertex == v and x[0].exponent % b == 0:
             return x[0].exponent // b
         return None
+    if not (len(vs) == 2 and p.order(vs[0]) == p.order(vs[1]) == 2 and not p.has_edge(*vs)):
+        return None
     # two non-commuting involutions neither move past nor merge with each
     # other, so (vw)^k is the concatenation base * k for k > 0 and
     # base[::-1] * |k| for k < 0; an x of any other length matches neither
-    k = len(x) // len(base)
+    k = len(x) // 2
     return k if x == base * k else -k if x == base[::-1] * k else None
 
 

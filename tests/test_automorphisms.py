@@ -131,12 +131,32 @@ def test_apply_factor():
     assert apply_gen(q, inv, generator(q, "a", 3)) == generator(q, "a", -3)
 
 
+TRANSVECTION_CASES = [
+    # (orders, edges, [(x, inverse, image of x under tv(a,b) written out)])
+    # Z^2: the copies of a b commute and merge
+    ({"a": None, "b": None}, [("a", "b")], [
+        ("a", False, "a b"), ("a^3", False, "a b a b a b"),
+        ("a^-2", False, "b^-1 a^-1 b^-1 a^-1"), ("a^3", True, "a b^-1 a b^-1 a b^-1"),
+        ("a^-1 b", True, "b a^-1 b")]),
+    # F_2: the copies stay apart
+    ({"a": None, "b": None}, [], [
+        ("a", False, "a b"), ("a^2", False, "a b a b"),
+        ("a^-2", False, "b^-1 a^-1 b^-1 a^-1"), ("b a^-1 b", False, "b b^-1 a^-1 b"),
+        ("a^2", True, "a b^-1 a b^-1")]),
+    # C_2 - C_4 commuting: q = 2, and b^(2q) = 1 makes it its own inverse
+    ({"a": 2, "b": 4}, [("a", "b")], [
+        ("a", False, "a b^2"), ("b a", False, "b a b^2"), ("b a", True, "b a b^2")]),
+]
+
+
 def test_apply_transvection():
-    p = pres({"a": None, "b": None}, [("a", "b")])
-    g = parse_generator(p, "tv(a,b)")
-    assert apply_gen(p, g, generator(p, "a")) == parse_word(p, "a b")
-    assert apply_gen(p, g, generator(p, "a", 3)) == parse_word(p, "a^3 b^3")
-    assert apply_gen(p, g, apply_gen(p, g, generator(p, "a"), inverse=True)) == generator(p, "a")
+    for orders, edges, cases in TRANSVECTION_CASES:
+        p = pres(orders, edges)
+        g = parse_generator(p, "tv(a,b)")
+        for x, inverse, image in cases:
+            y = apply_gen(p, g, parse_word(p, x), inverse)
+            assert y == parse_word(p, image), (orders, edges, x, inverse)
+            assert apply_gen(p, g, y, not inverse) == parse_word(p, x)
 
 
 def test_apply_partial_conjugation():

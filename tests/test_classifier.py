@@ -396,7 +396,10 @@ def _verify_edited_psl(psl, edit):
     (lambda pl: pl["sigma_right"].update(power_base="b"), "split-power-base"),  # b has order 3
     # an odd function's side is the split's side, not a free label
     (lambda pl: pl["sigma_left"].update(side=["zz"]), "split-odd-support"),
-], ids=["not-odd", "defect-1/100", "support", "power-base", "side"])
+    # the identity carries no sign rule, written empty or as a^2 (a has order 2)
+    (lambda pl: pl["sigma_left"].update(power_base=""), "split-power-base"),
+    (lambda pl: pl["sigma_left"].update(power_base="a^2"), "split-power-base"),
+], ids=["not-odd", "defect-1/100", "support", "power-base", "side", "empty-base", "a^2-base"])
 def test_forged_split_qm_fails_named_check(psl, edit, check):
     assert _failed(_verify_edited_psl(psl, edit)) == {check}
 

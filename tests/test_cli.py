@@ -1,16 +1,19 @@
+import copy
 import json
 import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from gpnorm import classifier, classify, cli, named_presentation
-from gpnorm.classifier import verdict_from_obj, verdict_to_obj
+from gpnorm import (aut0_generators, classifier, classify, cli, expand_to_primary, generator,
+                    named_presentation, norm_ball, norm_lower, norm_upper, orbit, power)
+from gpnorm.classifier import HOMOMORPHISM, SPLIT_QM, verdict_from_obj, verdict_to_obj
 from gpnorm.cli import build_parser, main
-from gpnorm.corpus import gen_corpus
+from gpnorm.corpus import NAMED, gen_corpus
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -294,6 +297,11 @@ def test_distortion_verifies_the_certificate_it_writes(tmp_path, capsys, monkeyp
     assert len(err.strip().splitlines()) == 1 and "split-defect-constant" in err
 
 
+def _sigma_left(base):
+    """c2c2c2's sigma_left, the zero function on <a>, given a power base."""
+    return {"power_base": base, "side": ["a"], "sup_norm": "0", "table": {}, "zero": True}
+
+
 # (field of the c2c2c2 certificate, tampered value, exit code, the failed
 # check on exit 2 or the error text on exit 1)
 TAMPERED = {
@@ -301,15 +309,18 @@ TAMPERED = {
     "chain-unknown-vertices": ("chain", [["a", "q", "r", "s"]], 1, "unknown vertex 'q'"),
     "split-side-outside-step": ("split_left", ["q", "r", "s"], 2, "split-valid"),
     "split-side-empty": ("split_left", [], 2, "split-valid"),
+    # the identity, written empty or as an involution squared, has no sign rule
+    "power-base-empty": ("sigma_left", _sigma_left(""), 2, "split-power-base"),
+    "power-base-b^2": ("sigma_left", _sigma_left("b^2"), 2, "split-power-base"),
 }
 
 
 @pytest.mark.parametrize("case", TAMPERED)
 def test_tampered_certificate_output_independent_of_hash_seed(corpus_dir, tmp_path, case):
     """verify, norm --cert and distortion --cert read a tampered certificate
-    to the same bytes under two hash seeds: a non-nested chain and a split
-    side outside the last step are FAILs, and an unknown vertex is named in
-    input order."""
+    to the same bytes under two hash seeds: a non-nested chain, a split
+    side outside the last step and an identity power base are FAILs, and
+    an unknown vertex is named in input order."""
     field, value, want_code, want = TAMPERED[case]
     obj = verdict_to_obj(classify(named_presentation("c2c2c2")))
     cert = obj["certificate"]
@@ -331,6 +342,70 @@ def test_tampered_certificate_output_independent_of_hash_seed(corpus_dir, tmp_pa
             assert failed == [want]
         else:
             assert out == "" and f"certificate fails {want}:" in err
+
+
+MUTANT_VALUES = [None, [], {}, "", 0, 1, -1, True, 1.5, "x", ["a"], {"a": "1"}, "1/0", "a b",
+                 "b^2", "zz"]
+
+
+def _node_paths(node, path=()):
+    """The key path of every node below node, depth first."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _node_paths(child, path + (key,))
+
+
+def test_mutated_certificates_exit_cleanly_and_bound_soundly(corpus_dir, tmp_path, capsys):
+    """Hostile-certificate referee.  Each node below the root of each named
+    verdict that classify --out writes is replaced in turn by each of
+    MUTANT_VALUES.  verify and norm --cert return 0, 1 or 2 on every mutant
+    and raise nothing; norm --cert exits as verify does, and writes one
+    stderr line unless it passes.  An upper bound from genuine orbit
+    elements is true, so each passed HOMOMORPHISM or SPLIT_QM mutant must
+    give norm_lower(w^k) <= norm_upper(w^k) for its witness w, k = 1..4,
+    wherever the Aut0 orbit of the vertices (depth 2, cap 8) bounds w^k
+    within radius 4."""
+    codes, checks, bounded = Counter(), 0, 0
+    mutant = tmp_path / "mutant.json"
+    for name in NAMED:
+        graph = str(corpus_dir / f"{name}.json")
+        verdict = tmp_path / f"{name}.verdict"
+        assert run(capsys, "classify", graph, "--out", str(verdict))[0] == 0
+        obj = json.loads(verdict.read_text())
+        p = expand_to_primary(named_presentation(name))
+        ball = None
+        for path in _node_paths(obj):
+            for value in MUTANT_VALUES:
+                mut = copy.deepcopy(obj)
+                node = mut
+                for key in path[:-1]:
+                    node = node[key]
+                node[path[-1]] = copy.deepcopy(value)
+                mutant.write_text(json.dumps(mut))
+                code, _, err = run(capsys, "verify", graph, str(mutant))
+                assert code in (0, 1, 2) and (code != 1 or err.count("\n") == 1), (path, value)
+                codes[code] += 1
+                norm_code, _, err = run(capsys, "norm", graph, "a", "--cert", str(mutant),
+                                        "--orbit-depth", "1", "--len-cap", "4", "--radius", "2")
+                assert norm_code == code and (code == 0 or err.count("\n") == 1), (path, value)
+                cert = verdict_from_obj(p, mut).certificate if code == 0 else None
+                if cert is None or cert.kind not in (HOMOMORPHISM, SPLIT_QM):
+                    continue
+                if ball is None:
+                    orb = orbit(p, [generator(p, v) for v in p.vertex_ids], aut0_generators(p),
+                                2, 8)
+                    ball = norm_ball(p, orb, 4)
+                for k in range(1, 5):
+                    xk = power(p, cert.witness, k)
+                    upper = norm_upper(p, xk, orb, 4, ball=ball)
+                    checks += 1
+                    if upper is not None:
+                        bounded += 1
+                        assert norm_lower(p, xk, cert) <= upper, (name, path, value, k)
+    assert codes == {0: 315, 1: 2311, 2: 206}
+    assert (checks, bounded) == (616, 506)
 
 
 def _under_hash_seeds(argv):
