@@ -1,6 +1,6 @@
 """Domination preorders, transvection classes, and the join decomposition.
 
-Three relations on the vertex set:
+Three relations on the vertex set, read off the presentation's masks:
 
   v <= w      iff  Lk(v) subset of St(w)
   v <=_s w    iff  St(v) subset of St(w)
@@ -67,15 +67,14 @@ def _prime_of(p: Presentation, v: str) -> int:
 
 def preorder(p: Presentation, kind: str, v: str, w: str) -> bool:
     """Truth value of v <= w / v <=_s w / v <=_tau w, read off the
-    adjacency bitmasks.  LEQ_TAU reads transvections, so it expects a
-    primary presentation."""
+    presentation's link and star bitmasks.  LEQ_TAU reads transvections, so
+    it expects a primary presentation."""
     i, j = p.index(v), p.index(w)
-    adj = p._adj_mask
-    star_w = adj[j] | 1 << j
+    stars = p._stars
     if kind == LEQ:
-        return not adj[i] & ~star_w
+        return not p._adj_mask[i] & ~stars[j]
     if kind == LEQ_S:
-        return not (adj[i] | 1 << i) & ~star_w
+        return not stars[i] & ~stars[j]
     if kind == LEQ_TAU:
         return v == w or (v, w) in transvections(p)
     raise ValueError(f"unknown preorder kind {kind!r}")
@@ -87,12 +86,11 @@ def transvections(p: Presentation) -> list[tuple[str, str]]:
 
     For an infinite v the test is Lk(v) subset of St(w); for a finite v it
     is St(v) subset of St(w) with w finite of the same prime.  Links and
-    stars are the presentation's adjacency bitmasks.  A prime is computed
-    only after the star test passes, so a non-primary order raises
-    PresentationError only when it takes part in such a pair.
+    stars are the presentation's bitmasks.  A prime is computed only after
+    the star test passes, so a non-primary order raises PresentationError
+    only when it takes part in such a pair.
     """
-    ids, orders = p.vertex_ids, p._orders
-    stars = [mask | 1 << i for i, mask in enumerate(p._adj_mask)]
+    ids, orders, stars = p.vertex_ids, p._orders, p._stars
     out = []
     for i, v in enumerate(ids):
         infinite = orders[i] is None

@@ -50,6 +50,7 @@ BOUNDED_DECOMPOSITION = "BOUNDED_DECOMPOSITION"
 HOMOMORPHISM = "HOMOMORPHISM"
 SPLIT_QM = "SPLIT_QM"
 CITATION = "CITATION"
+KINDS = (BOUNDED_DECOMPOSITION, HOMOMORPHISM, SPLIT_QM, CITATION)
 
 CITE_FREE_PRIMITIVES = "FREE_GROUP_PRIMITIVES"
 CITE_HYPERBOLIC = "HYPERBOLIC_C2_POWERS"
@@ -133,20 +134,16 @@ def _split_witness(p: Presentation, qm: SplitQM) -> NormalWord:
     return multiply(p, pick(qm.sigma_left), pick(qm.sigma_right))
 
 
-def classify(p: Presentation) -> Verdict:
-    """Decide boundedness and produce a certificate chain.  Requires a
-    primary presentation (run expand_to_primary first)."""
-    if not p.is_primary():
-        raise PresentationError("classify requires a primary presentation")
-    return _classify(p)
-
-
 def _unbounded(cert: Certificate, trace: list[str]) -> Verdict:
     return Verdict(False, cert, tuple(trace))
 
 
-def _classify(p: Presentation) -> Verdict:
-    """Every bounded verdict is of bounded form, so a bounded V - M is
+def classify(p: Presentation) -> Verdict:
+    """Decide boundedness and produce a certificate chain.  Requires a
+    primary presentation (run expand_to_primary first): ``tau_structure``,
+    the first call on any nonempty presentation, checks that.
+
+    Every bounded verdict is of bounded form, so a bounded V - M is
     Z^n x Dinf^m x F with n != 1.
 
     If M is a free class or a single Z vertex, L is empty.  For x in M,
@@ -184,15 +181,16 @@ def _classify(p: Presentation) -> Verdict:
     mi = ts.maximal_classes()[0]
     M = ts.classes[mi]
     mtype = ts.class_types[mi]
-    rest = tuple(v for v in V if v not in set(M))
+    m = p._mask(M)
+    rest = p._ids(~m)
     trace = [f"maximal class M = {{{','.join(M)}}} ({mtype.kind})"]
 
-    sub = _classify(p.sub(rest))
+    sub = classify(p.sub(rest))
     if not sub.bounded:
         return _prepend(sub, rest, trace + [f"recursion on V-M = {{{','.join(rest)}}} unbounded"])
 
     trace.append("V-M bounded: Z^n x Dinf^m x F")
-    L = tuple(v for v in rest if any(not p.has_edge(v, w) for w in M))
+    L = tuple(v for v in rest if m & ~p._adj_mask[p._index[v]])
     if not L:
         trace.append("L empty: direct product W_M x W_{V-M}")
         if mtype.kind == cl.FREE:
@@ -206,10 +204,10 @@ def _classify(p: Presentation) -> Verdict:
         return _unbounded(_homomorphism(p, zs[0], ((zs[0],),)),
                           trace + [f"Z-rank of W_L is 1: minimal class {{{zs[0]}}}"])
 
-    ML = tuple(v for v in V if v in set(M) or v in set(L))
+    ML = p._ids(m | p._mask(L))
     pml = p.sub(ML)
     trace.append(f"free product W_M * W_L inside lower cone {{{','.join(ML)}}}")
-    if _is_elementary_two(pml, set(M)) and _is_elementary_two(pml, set(L)):
+    if _is_elementary_two(pml, M) and _is_elementary_two(pml, L):
         if len(M) == 1 and len(L) == 1:
             trace.append("W_M = W_L = C_2: absorbed as an extra Dinf factor")
             return _bounded_verdict(p, trace)
@@ -393,7 +391,7 @@ def verify_certificate(p: Presentation, verdict: Verdict) -> Report:
 
     rep.add(
         "kind-consistency",
-        verdict.bounded == (cert.kind == BOUNDED_DECOMPOSITION),
+        cert.kind in KINDS and verdict.bounded == (cert.kind == BOUNDED_DECOMPOSITION),
         f"bounded={verdict.bounded} kind={cert.kind}",
     )
 

@@ -68,7 +68,7 @@ def norm_ball(p: Presentation, gens, radius: int) -> dict[NormalWord, int]:
     ball = {IDENTITY: 0, **dict.fromkeys(sym, 1)}
     if radius < 3:  # h < 2: nothing to expand
         return ball
-    index, adj = p._index, p._adj_mask
+    index, stars = p._index, p._stars
     inverse = {**dict(zip(invs, gens)), **dict(zip(gens, invs))}
     position = {t: k for k, t in enumerate(sym)}
     rights = [(s, _first_stars(p, s)) for s in sym]
@@ -79,7 +79,7 @@ def norm_ball(p: Presentation, gens, radius: int) -> dict[NormalWord, int]:
         if k is None:
             tried = rights
         else:  # skip x^-1 and every earlier s inside the stars of x's vertices
-            centre = reduce(and_, (adj[i] | 1 << i for i in {index[v] for v, _ in x}))
+            centre = reduce(and_, (stars[i] for i in {index[v] for v, _ in x}))
             inv = position[inverse[x]]
             tried = [r for j, r in enumerate(rights)
                      if j != inv and (j >= k or supports[j] & ~centre)]
@@ -142,8 +142,9 @@ def norm_lower(p: Presentation, x: NormalWord, cert) -> Fraction:
     # the steps nest, so the retractions along the chain compose into one
     y = retract(p, cur.vertex_ids, x)
     if kind == HOMOMORPHISM:
-        if len(cur.vertices) != 1 or cur.vertices[0].order is not None:
-            raise ValueError("homomorphism certificate must end at a single Z vertex")
+        # verify's homomorphism-endpoint facts: one vertex, the target, of infinite order
+        if cur.vertex_ids != (cert.target_vertex,) or cur.vertices[0].order is not None:
+            raise ValueError("homomorphism certificate must end at the target, a single Z vertex")
         k = y[0].exponent if y else 0
         return Fraction(abs(k))  # |qbar| / (B + D) with B = 1, D = 0
     if kind == SPLIT_QM:

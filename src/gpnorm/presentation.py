@@ -68,10 +68,10 @@ class Presentation:
     """Immutable validated graph presentation.
 
     The graph is held once, as one adjacency bitmask per vertex index: bit j
-    of ``_adj_mask[i]`` is set iff vertices i and j commute.  Edges, links,
-    stars, cliques and components are all read off the masks.  Not a
-    dataclass because the masks are precomputed once; treat instances as
-    values.
+    of ``_adj_mask[i]`` is set iff vertices i and j commute, and ``_stars[i]``
+    adds bit i.  Edges, links, stars, cliques and components are all read
+    off the masks, and ``_ids`` lists a mask's vertices.  Not a dataclass
+    because the masks are precomputed once; treat instances as values.
     """
 
     def __init__(self, vertices: Sequence[VertexSpec], edges: Iterable[tuple[str, str]]):
@@ -99,6 +99,7 @@ class Presentation:
         # orders and bitmasks by vertex index, read by words.normal_form
         self._orders = tuple([v.order for v in self.vertices])
         self._adj_mask = tuple(masks)
+        self._stars = tuple(mask | 1 << i for i, mask in enumerate(masks))
         # each edge once, as (earlier, later) in declaration order
         self.edges: tuple[tuple[str, str], ...] = self._pairs(complement=False)
 
@@ -120,12 +121,15 @@ class Presentation:
             mask |= 1 << self.index(v)
         return mask
 
+    def _ids(self, mask: int) -> tuple[str, ...]:
+        """A mask's vertices in declaration order; ~mask lists the others."""
+        return tuple(v for i, v in enumerate(self.vertex_ids) if mask >> i & 1)
+
     def link(self, v: str) -> frozenset[str]:
-        mask = self._adj_mask[self.index(v)]
-        return frozenset(w for j, w in enumerate(self.vertex_ids) if mask >> j & 1)
+        return frozenset(self._ids(self._adj_mask[self.index(v)]))
 
     def star(self, v: str) -> frozenset[str]:
-        return self.link(v) | {v}
+        return frozenset(self._ids(self._stars[self.index(v)]))
 
     def has_edge(self, a: str, b: str) -> bool:
         return self._adj_mask[self.index(a)] >> self.index(b) & 1 == 1
@@ -133,8 +137,7 @@ class Presentation:
     def is_clique(self, X: Iterable[str]) -> bool:
         """True iff every two distinct vertices of X commute."""
         mask = self._mask(X)
-        return all(not mask & ~(self._adj_mask[i] | 1 << i)
-                   for i in range(len(self.vertices)) if mask >> i & 1)
+        return all(not mask & ~self._stars[i] for i in range(len(self.vertices)) if mask >> i & 1)
 
     def is_primary(self) -> bool:
         """True when every vertex is prime-power or infinite (no factors)."""
@@ -173,12 +176,12 @@ class Presentation:
                 comp |= new
                 grow |= new
             left &= ~comp
-            comps.append(tuple(v for i, v in enumerate(ids) if comp >> i & 1))
+            comps.append(self._ids(comp))
         return tuple(comps)
 
     def components_minus_star(self, v: str) -> tuple[tuple[str, ...], ...]:
         """Connected components of the graph with St(v) removed."""
-        return self.components(set(self.vertex_ids) - self.star(v))
+        return self.components(self._ids(~self._stars[self.index(v)]))
 
     def _pairs(self, complement: bool) -> tuple[tuple[str, str], ...]:
         """The edges of Gamma (or of its complement) as (earlier, later)

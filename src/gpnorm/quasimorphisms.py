@@ -116,8 +116,7 @@ def default_odd_function(p: Presentation, side: Iterable[str]) -> OddFunction:
     product of the least non-commuting pair of involutions (an infinite-order
     element), which exists whenever the side is not C_2^k.
     """
-    mask = p._mask(side)  # raises in input order
-    vs = tuple(v for i, v in enumerate(p.vertex_ids) if mask >> i & 1)
+    vs = p._ids(p._mask(side))  # _mask raises in input order
     if not vs or _is_elementary_two(p, vs):
         return OddFunction(side=vs)
     for v in vs:

@@ -165,7 +165,7 @@ def _first_stars(p: Presentation, s) -> int:
     for v, _ in s:
         i = index[v]
         if not seen & ~adj[i]:
-            stars |= adj[i] | 1 << i
+            stars |= p._stars[i]
         seen |= 1 << i
     return stars
 
@@ -261,7 +261,7 @@ def _split(p: Presentation, M: Iterable[str]) -> tuple[tuple[str, ...], tuple[st
     p (the first in input order), on an empty side, and on an edge joining
     the sides (the first in declaration order)."""
     left, index = p._mask(M), p._index
-    sides = tuple(tuple(v for v, i in index.items() if (left >> i & 1) == s) for s in (1, 0))
+    sides = p._ids(left), p._ids(~left)
     if not all(sides):
         raise PresentationError("split must have two nonempty sides")
     for a, b in p.edges:

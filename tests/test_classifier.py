@@ -240,6 +240,15 @@ def test_missing_witness_and_unknown_citation_fail(psl, f2):
     ]
 
 
+def test_unknown_kind_fails_kind_consistency(psl):
+    # an unknown kind must not fall through to the SPLIT_QM checks and pass
+    unknown = replace(classify(psl).certificate, kind="NOPE")
+    rep = verify_certificate(psl, Verdict(False, unknown))
+    assert [(c.name, c.detail) for c in rep.checks if c.status == "FAIL"] == [
+        ("kind-consistency", "bounded=False kind=NOPE")
+    ]
+
+
 def test_kx_invariance_violation_path_raag():
     p = pres({"a": None, "b": None, "c": None}, [("a", "b"), ("b", "c")])
     assert lower_cone_violation(p, ("b",)) == ("a", "b")
@@ -467,7 +476,7 @@ def _random_join_plus_free_class(rng):
 
 
 def test_maximal_free_or_z_class_commutes_with_bounded_rest():
-    """The lemma of classifier._classify: when V - M is bounded and the
+    """The lemma of classifier.classify: when V - M is bounded and the
     maximal class M is free or a single Z vertex, every vertex of V - M
     commutes with all of M, so L is empty."""
     rng = random.Random(7)

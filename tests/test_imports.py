@@ -1,7 +1,7 @@
 """Import hygiene without a lint tool: no module imports a name it never
 uses, every public name resolves, and so does every function that the
-benchmark's tracer wraps; every module-level function of gpnorm is named
-somewhere besides its definition."""
+benchmark's tracer wraps; every module-level function and non-dunder
+method of gpnorm is named somewhere besides its definition."""
 
 import ast
 import importlib
@@ -39,14 +39,18 @@ def test_no_unused_imports():
 
 
 def test_no_orphan_functions():
-    """A module-level def in src/gpnorm that nothing in src/, tests/,
-    scripts/ or perfbench/ names besides its own definition is an orphan:
-    a consolidation left it behind."""
+    """A module-level def, or a non-dunder method of a class, in src/gpnorm
+    that nothing in src/, tests/, scripts/ or perfbench/ names besides its
+    own definition is an orphan: a consolidation left it behind."""
     texts = [path.read_text() for folder in ("src", "tests", "scripts", "perfbench")
              for path in sorted((ROOT / folder).rglob("*.py"))]
     orphans = []
     for path in sorted(SRC.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
+        body = ast.parse(path.read_text()).body
+        methods = [node for cls in body if isinstance(cls, ast.ClassDef) for node in cls.body
+                   if isinstance(node, ast.FunctionDef)
+                   and not (node.name.startswith("__") and node.name.endswith("__"))]
+        for node in body + methods:
             if isinstance(node, ast.FunctionDef):
                 name = re.compile(rf"\b{node.name}\b")
                 if sum(len(name.findall(text)) for text in texts) < 2:

@@ -10,6 +10,7 @@ import pytest
 
 from gpnorm import (
     IDENTITY,
+    Verdict,
     aut0_generators,
     classify,
     distortion_table,
@@ -25,6 +26,7 @@ from gpnorm import (
     parse_word,
     power,
     random_presentation,
+    verify_certificate,
 )
 from gpnorm import automorphisms, norms, words
 from gpnorm.corpus import random_word
@@ -262,6 +264,12 @@ def test_norm_lower_rejects_malformed_certificates(psl):
     for message, bad in cases.items():
         with pytest.raises(ValueError, match=message):
             norm_lower(psl, parse_word(psl, "a b"), bad)
+    # a chain ending at b, so verify's homomorphism-endpoint refuses target a.0
+    p = expand_to_primary(named_presentation("c6_star_z"))
+    wrong_target = replace(classify(p).certificate, target_vertex="a.0")
+    assert not verify_certificate(p, Verdict(False, wrong_target)).passed
+    with pytest.raises(ValueError, match="the target, a single Z vertex"):
+        norm_lower(p, parse_word(p, "b^5"), wrong_target)
 
 
 def test_distortion_table_psl(psl):

@@ -135,6 +135,27 @@ def test_components_match_a_pairwise_referee():
         assert p.components() == p.components(ids)
 
 
+@pytest.mark.parametrize("density", [0, 0.25, 0.5, 0.75, 1])
+def test_stars_and_ids_match_an_edge_list_referee(density):
+    """_stars holds each vertex with its neighbours in p.edges, and _ids
+    lists a mask's vertices, or with ~mask the others, in declaration
+    order, on random graphs of each density."""
+    rng = random.Random(int(4 * density))
+    for _ in range(50):
+        ids = [f"v{i}" for i in range(rng.randint(0, 8))]
+        rng.shuffle(ids)
+        edges = [[a, b] for i, a in enumerate(ids) for b in ids[i + 1:] if rng.random() < density]
+        p = parse_presentation({"vertices": [{"id": v, "order": 2} for v in ids],
+                                "edges": edges})
+        for i, v in enumerate(ids):
+            star = {v} | {w for e in p.edges if v in e for w in e}
+            assert p._ids(p._stars[i]) == tuple(w for w in ids if w in star)
+            assert p.star(v) == star
+        X = {v for v in ids if rng.random() < 0.5}
+        assert p._ids(p._mask(X)) == tuple(v for v in ids if v in X)
+        assert p._ids(~p._mask(X)) == tuple(v for v in ids if v not in X)
+
+
 def test_complement_components():
     # a-b edge, c isolated: complement has edges a-c, b-c => one component
     p = parse_presentation(
