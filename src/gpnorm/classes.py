@@ -15,18 +15,19 @@ and Lk(v) subset St(w) give Lk(u) subset St(w): an x in Lk(u) other than v
 lies in Lk(v), and if v is in Lk(u), then u in Lk(v) subset St(w), u != w,
 puts w in Lk(u) subset St(v), so v is in St(w).
 
-Every reader of <=_tau reads its pairs from ``transvections``, the one place
-it is decided.  Mutual <=_tau partitions the vertices into classes of three
-kinds: free abelian (infinite orders, pairwise commuting), free (infinite
-orders, pairwise non-commuting), or finite primary (orders all powers of one
-prime; such a class always spans a clique).  No other kind occurs: a finite
-v <=_tau w only when w is finite with v's prime, so no class mixes infinite
-and finite orders or two primes.  An infinite class with an edge u - v is
-a clique (Corredor-Gutierrez 2012): for w not adjacent to u, v in Lk(u)
-subset St(w), so w in Lk(v) subset St(u), a contradiction.  The induced
-partial order on classes drives the boundedness classifier; its lower cones
-are exactly the vertex sets whose retraction kernels are invariant under the
-pure automorphism group.
+``_up_sets`` is the one computation of <=_tau.  It works in the full
+subgraph on a vertex mask X with no subgraph built, by the restriction lemma
+Lk_X(v) = Lk(v) & X and St_X(w) = St(w) & X.  Mutual <=_tau partitions the
+vertices into classes of three kinds: free abelian (infinite orders, pairwise
+commuting), free (infinite orders, pairwise non-commuting), or finite primary
+(orders all powers of one prime; such a class always spans a clique).  No
+other kind occurs: a finite v <=_tau w only when w is finite with v's prime,
+so no class mixes infinite and finite orders or two primes.  An infinite
+class with an edge u - v is a clique (Corredor-Gutierrez 2012): for w not
+adjacent to u, v in Lk(u) subset St(w), so w in Lk(v) subset St(u), a
+contradiction.  The induced partial order on classes drives the boundedness
+classifier; its lower cones are exactly the vertex sets whose retraction
+kernels are invariant under the pure automorphism group.
 
 The join decomposition reads a direct-product factorization off the
 connected components of the complement graph: an isolated infinite vertex is
@@ -67,7 +68,7 @@ def _prime_of(p: Presentation, v: str) -> int:
 
 def preorder(p: Presentation, kind: str, v: str, w: str) -> bool:
     """Truth value of v <= w / v <=_s w / v <=_tau w, read off the
-    presentation's link and star bitmasks.  LEQ_TAU reads transvections, so
+    presentation's link and star bitmasks.  LEQ_TAU reads ``_up_sets``, so
     it expects a primary presentation."""
     i, j = p.index(v), p.index(w)
     stars = p._stars
@@ -76,31 +77,37 @@ def preorder(p: Presentation, kind: str, v: str, w: str) -> bool:
     if kind == LEQ_S:
         return not stars[i] & ~stars[j]
     if kind == LEQ_TAU:
-        return v == w or (v, w) in transvections(p)
+        return _up_sets(p)[i] >> j & 1 == 1
     raise ValueError(f"unknown preorder kind {kind!r}")
+
+
+def _up_sets(p: Presentation, X: int = -1) -> list[int]:
+    """For each vertex index v, the mask of the w with v <=_tau w in the full
+    subgraph on the vertex mask X (all of V by default), v included; 0 for v
+    outside X.  An infinite v needs Lk_X(v) subset of St_X(w); a finite v
+    needs St_X(v) subset of St_X(w) and w finite of the same prime, which is
+    computed only after the star test passes for some w != v: a non-primary
+    order raises PresentationError only when it takes part in such a pair."""
+    ids, orders, stars = p.vertex_ids, p._orders, p._stars
+    inside = [i for i in range(len(ids)) if X >> i & 1]
+    ups = [0] * len(ids)
+    for i in inside:
+        infinite = orders[i] is None
+        dominated = (p._adj_mask[i] if infinite else stars[i]) & X
+        ups[i] = 1 << i
+        for j in inside:
+            if j == i or dominated & ~stars[j]:
+                continue
+            if infinite or orders[j] is not None and _prime_of(p, ids[i]) == _prime_of(p, ids[j]):
+                ups[i] |= 1 << j
+    return ups
 
 
 def transvections(p: Presentation) -> list[tuple[str, str]]:
     """Every pair (v, w) with v != w and v <=_tau w, ordered by the
-    declaration index of v, then of w: the one computation of <=_tau.
-
-    For an infinite v the test is Lk(v) subset of St(w); for a finite v it
-    is St(v) subset of St(w) with w finite of the same prime.  Links and
-    stars are the presentation's bitmasks.  A prime is computed only after
-    the star test passes, so a non-primary order raises PresentationError
-    only when it takes part in such a pair.
-    """
-    ids, orders, stars = p.vertex_ids, p._orders, p._stars
-    out = []
-    for i, v in enumerate(ids):
-        infinite = orders[i] is None
-        dominated = p._adj_mask[i] if infinite else stars[i]
-        for j, w in enumerate(ids):
-            if i == j or dominated & ~stars[j]:
-                continue
-            if infinite or (orders[j] is not None and _prime_of(p, v) == _prime_of(p, w)):
-                out.append((v, w))
-    return out
+    declaration index of v, then of w."""
+    ids, ups = p.vertex_ids, _up_sets(p)
+    return [(v, w) for v, up in zip(ids, ups) for j, w in enumerate(ids) if up >> j & 1 and v != w]
 
 
 @dataclass(frozen=True)
@@ -130,30 +137,37 @@ class TauStructure:
         return tuple(edges)
 
 
+def _classes(ups: list[int]) -> list[tuple[int, int]]:
+    """(least vertex, mask) of each mutual <=_tau class of ``_up_sets``, by
+    least vertex: the part of that vertex's up-set that lies below it in turn."""
+    out: list[tuple[int, int]] = []
+    for v, up in enumerate(ups):
+        if up and not any(c >> v & 1 for _, c in out):
+            out.append((v, sum(1 << w for w in range(v, len(ups)) if up >> w & ups[w] >> v & 1)))
+    return out
+
+
+def _class_type(p: Presentation, v: int, c: int) -> ClassType:
+    """The kind of the class mask c of least vertex v.  An infinite class is
+    a clique exactly when v commutes with the rest (see above)."""
+    orders = [n for i, n in enumerate(p._orders) if c >> i & 1]
+    if orders[0] is not None:
+        return ClassType(FINITE_PRIMARY, order=math.prod(orders))
+    return ClassType(FREE if c & ~p._stars[v] else FREE_ABELIAN, rank=len(orders))
+
+
 def tau_structure(p: Presentation) -> TauStructure:
     """The <=_tau preorder, its classes and their order, for a primary
     presentation."""
     if not p.is_primary():
         raise PresentationError("tau structure requires a primary presentation")
-    ids = p.vertex_ids
-    tau = {(v, v) for v in ids}.union(transvections(p))
-    # mutual <=_tau is an equivalence, so each vertex names its own class;
-    # the first time a class is named is at its least vertex
-    classes = list(dict.fromkeys(
-        tuple(w for w in ids if (v, w) in tau and (w, v) in tau) for v in ids))
-    types = []
-    for cls in classes:
-        orders = [p.order(v) for v in cls]
-        if orders[0] is not None:
-            types.append(ClassType(FINITE_PRIMARY, order=math.prod(orders)))
-        elif p.is_clique(cls):
-            types.append(ClassType(FREE_ABELIAN, rank=len(cls)))
-        else:
-            types.append(ClassType(FREE, rank=len(cls)))
+    ups = _up_sets(p)
+    classes = _classes(ups)
     # a preorder orders classes through any one vertex of each
-    order = {(i, j) for i, ci in enumerate(classes) for j, cj in enumerate(classes)
-             if (ci[0], cj[0]) in tau}
-    return TauStructure(tuple(classes), tuple(types), frozenset(order))
+    order = {(i, j) for i, (v, _) in enumerate(classes) for j, (_, c) in enumerate(classes)
+             if ups[v] & c}
+    return TauStructure(tuple(p._ids(c) for _, c in classes),
+                        tuple(_class_type(p, v, c) for v, c in classes), frozenset(order))
 
 
 def lower_cone_violation(p: Presentation, X: Iterable[str]) -> tuple[str, str] | None:
@@ -182,9 +196,15 @@ def lower_cone_violation(p: Presentation, X: Iterable[str]) -> tuple[str, str] |
     in X: the least s, then the least t, in declaration order.  It names
     the generator tv(s, t) that moves s out of K_X.
     """
-    xs, index = p._mask(X), p._index
-    return next(((s, t) for s, t in transvections(p)
-                 if not xs >> index[s] & 1 and xs >> index[t] & 1), None)
+    return _cone_violation(p, -1, p._mask(X))
+
+
+def _cone_violation(p: Presentation, Y: int, xs: int) -> tuple[str, str] | None:
+    """``lower_cone_violation`` of the vertex mask xs in the full subgraph on
+    the vertex mask Y, which holds xs."""
+    ids, ups = p.vertex_ids, _up_sets(p, Y)
+    return next(((ids[s], p._ids(up & xs)[0]) for s, up in enumerate(ups)
+                 if up & xs and not xs >> s & 1), None)
 
 
 @dataclass(frozen=True)
@@ -236,13 +256,13 @@ def classes_json_obj(p: Presentation) -> dict:
     ids = p.vertex_ids
     def mat(kind):
         return {v: [w for w in ids if preorder(p, kind, v, w)] for v in ids}
-    tau = set(transvections(p))
+    ups = _up_sets(p)
     jd = join_decomposition(p)
     return {
         "vertices": list(ids),
         "leq": mat(LEQ),
         "leq_s": mat(LEQ_S),
-        "leq_tau": {v: [w for w in ids if v == w or (v, w) in tau] for v in ids},
+        "leq_tau": {v: list(p._ids(up)) for v, up in zip(ids, ups)},
         "classes": [
             {
                 "vertices": list(cls),

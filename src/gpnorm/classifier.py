@@ -81,11 +81,14 @@ class Verdict:
     trace: tuple[str, ...] = ()
 
 
-def _bounded_verdict(p: Presentation, trace: list[str]) -> Verdict:
-    jd = cl.join_decomposition(p)
-    cert = Certificate(
-        BOUNDED_DECOMPOSITION, n=jd.n, m=jd.m, finite_part=jd.finite_part
-    )
+def _spanned(p: Presentation, X: int) -> Presentation:
+    """The full subgraph on the vertex mask X: p itself when X holds all of V."""
+    return p.sub(p._ids(X)) if p._ids(~X) else p
+
+
+def _bounded_verdict(p: Presentation, X: int, trace: list[str]) -> Verdict:
+    jd = cl.join_decomposition(_spanned(p, X))
+    cert = Certificate(BOUNDED_DECOMPOSITION, n=jd.n, m=jd.m, finite_part=jd.finite_part)
     return Verdict(True, cert, tuple(trace))
 
 
@@ -140,8 +143,10 @@ def _unbounded(cert: Certificate, trace: list[str]) -> Verdict:
 
 def classify(p: Presentation) -> Verdict:
     """Decide boundedness and produce a certificate chain.  Requires a
-    primary presentation (run expand_to_primary first): ``tau_structure``,
-    the first call on any nonempty presentation, checks that.
+    primary presentation (run expand_to_primary first).  It recurses on
+    vertex masks X of p, each the full subgraph on X, classed by
+    ``classes._up_sets(p, X)``; it builds a subgraph presentation only to
+    decompose a bounded node or for a split quasimorphism on W_M * W_L.
 
     Every bounded verdict is of bounded form, so a bounded V - M is
     Z^n x Dinf^m x F with n != 1.
@@ -160,32 +165,38 @@ def classify(p: Presentation) -> Verdict:
 
     L nonempty: the complement components of L refine those of V - M, so W_L
     has bounded form and its Z factors are its infinite vertices."""
-    V = p.vertex_ids
+    if not p.is_primary():
+        raise PresentationError("classify requires a primary presentation")
+    return _classify(p, -1)
+
+
+def _classify(p: Presentation, X: int) -> Verdict:
+    """``classify`` of the full subgraph on the vertex mask X."""
+    V = p._ids(X)
     if not V:
-        return _bounded_verdict(p, ["empty presentation: trivial group"])
-    ts = cl.tau_structure(p)
-    if len(ts.classes) == 1:
-        t = ts.class_types[0]
+        return _bounded_verdict(p, X, ["empty presentation: trivial group"])
+    ups = cl._up_sets(p, X)
+    classes = cl._classes(ups)
+    if len(classes) == 1:
+        t = cl._class_type(p, *classes[0])
         if t.kind == cl.FINITE_PRIMARY:
-            return _bounded_verdict(p, ["one class: finite primary"])
+            return _bounded_verdict(p, X, ["one class: finite primary"])
         if t.kind == cl.FREE_ABELIAN and t.rank > 1:
-            return _bounded_verdict(p, [f"one class: Z^{t.rank}"])
+            return _bounded_verdict(p, X, [f"one class: Z^{t.rank}"])
         if t.kind == cl.FREE_ABELIAN:  # rank 1: the group is Z
             return _unbounded(_homomorphism(p, V[0], (V,)),
                               ["one class: Z, exponent homomorphism"])
         # free class of rank >= 2
         return _unbounded(_free_citation(p, V, (V,)), [f"one class: free of rank {t.rank}"])
 
-    # classes come in order of their least vertex: the first maximal class
-    # has the least declaration index (tie-break)
-    mi = ts.maximal_classes()[0]
-    M = ts.classes[mi]
-    mtype = ts.class_types[mi]
-    m = p._mask(M)
-    rest = p._ids(~m)
+    # classes come in order of their least vertex: the first maximal class,
+    # whose up-set stays inside it, has the least declaration index (tie-break)
+    v, m = next((v, c) for v, c in classes if not ups[v] & ~c)
+    M, mtype = p._ids(m), cl._class_type(p, v, m)
+    rest = p._ids(X & ~m)
     trace = [f"maximal class M = {{{','.join(M)}}} ({mtype.kind})"]
 
-    sub = classify(p.sub(rest))
+    sub = _classify(p, X & ~m)
     if not sub.bounded:
         return _prepend(sub, rest, trace + [f"recursion on V-M = {{{','.join(rest)}}} unbounded"])
 
@@ -196,7 +207,7 @@ def classify(p: Presentation) -> Verdict:
         if mtype.kind == cl.FREE:
             return _unbounded(_free_citation(p, M, (M,)), trace + ["retract to free class M"])
         if mtype.rank != 1 or sub.certificate.n:
-            return _bounded_verdict(p, trace)
+            return _bounded_verdict(p, X, trace)
         return _unbounded(_homomorphism(p, M[0], (M,)), trace + ["retract to the unique Z vertex"])
 
     zs = [v for v in L if p.order(v) is None]
@@ -205,12 +216,11 @@ def classify(p: Presentation) -> Verdict:
                           trace + [f"Z-rank of W_L is 1: minimal class {{{zs[0]}}}"])
 
     ML = p._ids(m | p._mask(L))
-    pml = p.sub(ML)
     trace.append(f"free product W_M * W_L inside lower cone {{{','.join(ML)}}}")
-    if _is_elementary_two(pml, M) and _is_elementary_two(pml, L):
+    if _is_elementary_two(p, M) and _is_elementary_two(p, L):
         if len(M) == 1 and len(L) == 1:
             trace.append("W_M = W_L = C_2: absorbed as an extra Dinf factor")
-            return _bounded_verdict(p, trace)
+            return _bounded_verdict(p, X, trace)
         cert = Certificate(
             CITATION,
             chain=(ML,),
@@ -220,6 +230,7 @@ def classify(p: Presentation) -> Verdict:
         )
         return _unbounded(cert, trace + ["hyperbolic C_2^k * C_2^k case"])
 
+    pml = _spanned(p, p._mask(ML))
     qm = make_split_qm(pml, M)
     cert = Certificate(SPLIT_QM, chain=(ML,), witness=_split_witness(pml, qm), split_qm=qm)
     return _unbounded(cert, trace + ["split quasimorphism on W_M * W_L"])
@@ -265,7 +276,7 @@ def certificate_from_obj(p: Presentation, obj: dict) -> Certificate:
         fields = {"target_vertex": _json_value(payload["target_vertex"], str)}
     elif kind == SPLIT_QM:
         # the payload lives on the last step; verify checks that the steps nest
-        final = p.sub(chain[-1]) if chain else p
+        final = _spanned(p, p._mask(chain[-1]) if chain else -1)
         fields = {"split_qm": split_qm_from_obj(final, payload)}
     elif kind == CITATION:
         fields = {"citation": _json_value(payload["citation"], str)}
@@ -389,28 +400,23 @@ def verify_certificate(p: Presentation, verdict: Verdict) -> Report:
     rep = Report()
     cert = verdict.certificate
 
-    rep.add(
-        "kind-consistency",
-        cert.kind in KINDS and verdict.bounded == (cert.kind == BOUNDED_DECOMPOSITION),
-        f"bounded={verdict.bounded} kind={cert.kind}",
-    )
+    rep.add("kind-consistency",
+            cert.kind in KINDS and verdict.bounded == (cert.kind == BOUNDED_DECOMPOSITION),
+            f"bounded={verdict.bounded} kind={cert.kind}")
 
-    cur = p
+    cur = -1  # the previous step's vertex mask
     for step in cert.chain:
-        if not set(step) <= set(cur.vertex_ids):
-            rep.add("chain-subset", False, f"step {step} not inside {cur.vertex_ids}")
+        if not set(step) <= set(p._ids(cur)):
+            rep.add("chain-subset", False, f"step {step} not inside {p._ids(cur)}")
             return rep
-        viol = cl.lower_cone_violation(cur, step)
+        xs = p._mask(step)
+        viol = cl._cone_violation(p, cur, xs)
         if viol is not None:
             s, t = viol
-            rep.add(
-                "chain-lower-cone",
-                False,
-                f"step {step}: {s} <=_tau {t} but {s} outside; violating generator "
-                f"tv({s},{t}) or its inverse moves {s} out of K_X",
-            )
+            rep.add("chain-lower-cone", False, f"step {step}: {s} <=_tau {t} but {s} outside; "
+                    f"violating generator tv({s},{t}) or its inverse moves {s} out of K_X")
             return rep
-        cur = cur.sub(step)
+        cur = xs
     if cert.chain:
         rep.add("chain-lower-cone", True, f"{len(cert.chain)} step(s)")
 
@@ -418,16 +424,8 @@ def verify_certificate(p: Presentation, verdict: Verdict) -> Report:
         jd = cl.join_decomposition(p)
         shape = jd.bounded_form
         payload = (cert.n, cert.m, set(cert.finite_part)) == (jd.n, jd.m, set(jd.finite_part))
-        rep.add(
-            "decomposition-shape",
-            shape,
-            f"n={jd.n} m={jd.m} other={jd.has_other}",
-        )
-        rep.add(
-            "decomposition-payload",
-            payload,
-            f"claimed (n={cert.n}, m={cert.m})",
-        )
+        rep.add("decomposition-shape", shape, f"n={jd.n} m={jd.m} other={jd.has_other}")
+        rep.add("decomposition-payload", payload, f"claimed (n={cert.n}, m={cert.m})")
         if shape and payload:
             rep.note(
                 "uniform-bound",
@@ -439,7 +437,7 @@ def verify_certificate(p: Presentation, verdict: Verdict) -> Report:
 
     # unbounded kinds: witness must survive the retraction chain, which
     # composes into one retraction because the steps are nested (chain-subset)
-    final = cur
+    final = _spanned(p, cur)
     if cert.witness is None:
         rep.add("witness", False, "missing witness")
         return rep

@@ -362,9 +362,11 @@ def expand_to_primary(p: Presentation) -> Presentation:
     vertices generating an isomorphic group.
 
     Replacement vertices inherit every adjacency of the original and form a
-    clique among themselves.  Idempotent on already-primary presentations.
-    A declared id that is also a part id v.i is refused: words would mix them.
+    clique among themselves.  A primary p is returned as it is.  A declared
+    id that is also a part id v.i is refused: words would mix them.
     """
+    if p.is_primary():
+        return p
     groups = {v.id: _primary_vertices(v) for v in p.vertices}
     for vid, ws in groups.items():
         for i, w in enumerate(ws):

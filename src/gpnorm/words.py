@@ -136,7 +136,7 @@ def _products(p: Presentation, xs: tuple[Syllable, ...], ws: Iterable) -> Iterat
                 continue
             m = adj[v]
             j = len(vs) - 1
-            while j >= 0 and vs[j] != v and m >> vs[j] & 1:
+            while j >= 0 and m >> vs[j] & 1:  # v is not in its own link
                 j -= 1
             if j >= 0 and vs[j] == v:
                 e += ss[j].exponent

@@ -21,6 +21,8 @@ from gpnorm.classes import (
     LEQ_TAU,
     OTHER,
     Z_FACTOR,
+    _cone_violation,
+    _up_sets,
     classes_json_obj,
     hasse_dot,
     transvections,
@@ -190,3 +192,36 @@ def test_transvections_match_referee():
                     None,
                 )
                 assert lower_cone_violation(p, X) == brute, (repr(p), X)
+
+
+def test_up_sets_on_a_mask_match_the_built_subgraph():
+    """_up_sets(p, X) is <=_tau of the full subgraph on X, and
+    _cone_violation(p, X, step) is lower_cone_violation inside it, the check
+    verify makes of a chain step nested in the step before it."""
+    rng = random.Random(1995)
+    subsets = violations = 0
+    for k in range(300):
+        n = rng.randint(1, 8)
+        density = k % 5 / 4 if k % 2 else rng.random()
+        ids = [f"v{i}" for i in range(n)]
+        p = pres(
+            {v: rng.choice((2, 3, 4, 8, 9, None)) for v in ids},
+            [e for e in itertools.combinations(ids, 2) if rng.random() < density],
+        )
+        if n > 6:
+            continue
+        for X in range(1 << n):
+            q = p.sub(p._ids(X))
+            ups = _up_sets(p, X)
+            assert [(v, w) for i, v in enumerate(ids) for j, w in enumerate(ids)
+                    if ups[i] >> j & 1 and i != j] == transvections(q), (repr(p), X)
+            assert all(bool(ups[i] >> i & 1) == bool(X >> i & 1) and not ups[i] & ~X
+                       for i in range(n)), (repr(p), X)
+            for step in range(1 << n):
+                if step & ~X:
+                    continue
+                want = lower_cone_violation(q, p._ids(step))
+                assert _cone_violation(p, X, step) == want, (repr(p), X, step)
+                violations += want is not None
+            subsets += 1
+    assert subsets > 4000 and violations > 10000

@@ -35,7 +35,7 @@ from gpnorm.classifier import (
     verdict_from_obj,
     verdict_to_obj,
 )
-from gpnorm.presentation import PresentationError
+from gpnorm.presentation import Presentation, PresentationError
 from gpnorm.quasimorphisms import homogenize
 from gpnorm.words import generator, power, retract
 from conftest import pres
@@ -93,6 +93,36 @@ def test_classify_decomposes_only_for_bounded_certificates(monkeypatch, p, calls
     verdict = classify(p)
     assert verdict.bounded and len(seen) == calls
     assert verify_certificate(p, verdict).passed
+
+
+@pytest.mark.parametrize("name,builds", [
+    ("z2_x_dinf", (2, 0)),  # bounded nodes {d} and {c,d}
+    ("psl", (1, 0)),  # bounded node {b}; the split and the final step are V
+    ("path_raag", (0, 1)),  # final step {a,c}
+    ("c6_star_z", (0, 1)),  # final step {b}
+    ("c2c2c2", (2, 0)),  # bounded nodes {c} and {b,c}; the split and the final step are V
+])
+def test_certify_builds_presentations_only_where_read(monkeypatch, name, builds):
+    """classify builds a Presentation only to decompose a bounded node or
+    for a split quasimorphism on less than all of V, and calls no
+    tau_structure; verify builds at most its final step."""
+    p = expand_to_primary(corpus.named_presentation(name))
+    seen = {"builds": 0, "tau": 0}
+    real_init, real_tau = Presentation.__init__, classes.tau_structure
+
+    def counting_init(self, *args):
+        seen["builds"] += 1
+        real_init(self, *args)
+
+    def counting_tau(q):
+        seen["tau"] += 1
+        return real_tau(q)
+    monkeypatch.setattr(Presentation, "__init__", counting_init)
+    monkeypatch.setattr(classes, "tau_structure", counting_tau)
+    verdict = classify(p)
+    classify_builds, seen["builds"] = seen["builds"], 0
+    assert verify_certificate(p, verdict).passed
+    assert (classify_builds, seen["builds"]) == builds and seen["tau"] == 0
 
 
 def test_dinf_certificate_payload():

@@ -606,6 +606,13 @@ def test_malformed_presentation_exits_1(tmp_path, capsys, text):
     assert (code, out, err.count("\n")) == (1, "", 1) and err.startswith("gpnorm: error:")
 
 
+def test_part_id_clash_exits_1_with_its_message(tmp_path, capsys):
+    path = tmp_path / "clash.json"
+    path.write_text('{"vertices": [{"id": "a", "order": 6}, {"id": "a.0", "order": 2}]}')
+    assert run(capsys, "classify", str(path)) == (
+        1, "", "gpnorm: error: vertex id 'a.0' clashes with part 0 of 'a'\n")
+
+
 # ids the word, generator or DOT grammar cannot name: at the parent of the id
 # rule, classify wrote a certificate whose own verify rejected it, or broken DOT
 @pytest.mark.parametrize("vertices", [

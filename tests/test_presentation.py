@@ -8,6 +8,7 @@ from gpnorm import (
     PresentationError,
     VertexSpec,
     expand_to_primary,
+    named_presentation,
     parse_presentation,
 )
 from gpnorm.presentation import MAX_ORDER, _factorization
@@ -206,6 +207,15 @@ def test_expand_to_primary_c6():
     assert q.is_primary()
     # idempotent
     assert expand_to_primary(q) == q
+
+
+def test_expand_to_primary_returns_primary_input_itself():
+    for name in ("psl", "dinf", "path_raag", "c2c2c2", "z2_x_dinf"):
+        p = named_presentation(name)
+        assert p.is_primary() and expand_to_primary(p) is p
+    q = expand_to_primary(named_presentation("c6_star_z"))  # a has order 6
+    assert q.vertex_ids == ("a.0", "a.1", "b") and q.edges == (("a.0", "a.1"),)
+    assert (q.order("a.0"), q.order("a.1"), q.order("b")) == (2, 3, None)
 
 
 @pytest.mark.parametrize("order", [2, 6])
