@@ -224,11 +224,13 @@ class JoinDecomposition:
         return not self.has_other and self.n != 1
 
 
-def join_decomposition(p: Presentation) -> JoinDecomposition:
-    """Classify the complement-graph components of a primary presentation."""
+def join_decomposition(p: Presentation, X: int = -1) -> JoinDecomposition:
+    """Classify the complement-graph components of the full subgraph on the
+    vertex mask X (all of V by default) of a primary presentation, read off
+    p's own masks: no subgraph presentation is built."""
     if not p.is_primary():
         raise PresentationError("join decomposition requires a primary presentation")
-    comps = p.components(complement=True)
+    comps = p.components(p._ids(X), complement=True)
     out = []
     n = m = 0
     finite: list[str] = []

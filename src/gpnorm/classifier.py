@@ -20,7 +20,7 @@ verdict independently of how it was produced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import classes as cl
 from .presentation import Presentation, PresentationError, _ids_from_json, _json_value
@@ -81,47 +81,34 @@ class Verdict:
     trace: tuple[str, ...] = ()
 
 
-def _spanned(p: Presentation, X: int) -> Presentation:
-    """The full subgraph on the vertex mask X: p itself when X holds all of V."""
-    return p.sub(p._ids(X)) if p._ids(~X) else p
-
-
 def _bounded_verdict(p: Presentation, X: int, trace: list[str]) -> Verdict:
-    jd = cl.join_decomposition(_spanned(p, X))
+    jd = cl.join_decomposition(p, X)
     cert = Certificate(BOUNDED_DECOMPOSITION, n=jd.n, m=jd.m, finite_part=jd.finite_part)
     return Verdict(True, cert, tuple(trace))
 
 
-def _free_citation(p: Presentation, M: tuple[str, ...], chain) -> Certificate:
+def _unbounded(kind: str, chain, step: tuple[str, ...], trace: list[str], **fields) -> Verdict:
+    """An unbounded verdict whose chain is the callers' chain ending at step.
+    Steps are in declaration order and strictly nested, so only the last
+    can equal step: a nested node's step of all its vertices, which its
+    caller appended.  It is not repeated."""
+    if chain[-1:] != (step,):
+        chain = (*chain, step)
+    return Verdict(False, Certificate(kind, chain=chain, **fields), tuple(trace))
+
+
+def _free_citation(p: Presentation, M: tuple[str, ...], chain, trace: list[str]) -> Verdict:
     """CITATION for a retraction onto the free class M, witnessed by the
     commutator of its first two vertices."""
-    return Certificate(
-        CITATION,
-        chain=chain,
-        witness=commutator(p, generator(p, M[0]), generator(p, M[1])),
-        citation=CITE_FREE_PRIMITIVES,
-        note="witness choice is citation-backed; growth data EMPIRICAL-ONLY",
-    )
+    return _unbounded(CITATION, chain, M, trace,
+                      witness=commutator(p, generator(p, M[0]), generator(p, M[1])),
+                      citation=CITE_FREE_PRIMITIVES,
+                      note="witness choice is citation-backed; growth data EMPIRICAL-ONLY")
 
 
-def _homomorphism(p: Presentation, v: str, chain) -> Certificate:
+def _homomorphism(p: Presentation, v: str, chain, trace: list[str]) -> Verdict:
     """HOMOMORPHISM for a retraction onto the Z vertex v, witnessed by v."""
-    return Certificate(HOMOMORPHISM, chain=chain, witness=generator(p, v), target_vertex=v)
-
-
-def _prepend(verdict: Verdict, step: tuple[str, ...], trace: list[str]) -> Verdict:
-    """The verdict with step put in front of its chain, which was built
-    inside step.  Built chains are strictly nested (by induction), so only
-    the old head can equal step; it is dropped then."""
-    cert = verdict.certificate
-    chain = cert.chain
-    if chain and set(chain[0]) == set(step):
-        chain = chain[1:]
-    return Verdict(
-        verdict.bounded,
-        replace(cert, chain=(step, *chain)),
-        tuple(trace) + verdict.trace,
-    )
+    return _unbounded(HOMOMORPHISM, chain, (v,), trace, witness=generator(p, v), target_vertex=v)
 
 
 def _split_witness(p: Presentation, qm: SplitQM) -> NormalWord:
@@ -137,16 +124,15 @@ def _split_witness(p: Presentation, qm: SplitQM) -> NormalWord:
     return multiply(p, pick(qm.sigma_left), pick(qm.sigma_right))
 
 
-def _unbounded(cert: Certificate, trace: list[str]) -> Verdict:
-    return Verdict(False, cert, tuple(trace))
-
-
 def classify(p: Presentation) -> Verdict:
     """Decide boundedness and produce a certificate chain.  Requires a
     primary presentation (run expand_to_primary first).  It recurses on
     vertex masks X of p, each the full subgraph on X, classed by
-    ``classes._up_sets(p, X)``; it builds a subgraph presentation only to
-    decompose a bounded node or for a split quasimorphism on W_M * W_L.
+    ``classes._up_sets(p, X)`` and decomposed by
+    ``classes.join_decomposition(p, X)``.  The chain and trace of the calls
+    above are passed down, so each verdict is built once, at the node that
+    decides it.  The one presentation it builds is W_M * W_L's for a split
+    quasimorphism, when M and L do not cover all of p's vertices.
 
     Every bounded verdict is of bounded form, so a bounded V - M is
     Z^n x Dinf^m x F with n != 1.
@@ -167,53 +153,57 @@ def classify(p: Presentation) -> Verdict:
     has bounded form and its Z factors are its infinite vertices."""
     if not p.is_primary():
         raise PresentationError("classify requires a primary presentation")
-    return _classify(p, -1)
+    return _classify(p, -1, (), [])
 
 
-def _classify(p: Presentation, X: int) -> Verdict:
-    """``classify`` of the full subgraph on the vertex mask X."""
+def _classify(p: Presentation, X: int, chain: tuple, trace: list[str]) -> Verdict:
+    """``classify`` of the full subgraph on the vertex mask X, below the
+    callers' chain steps and trace lines.  Each caller recurses on its
+    V - M after appending V - M as a step and the line that calls it
+    unbounded; it keeps its own trace when the answer is bounded.  Each
+    unbounded leaf appends its own step unless that step is already last."""
     V = p._ids(X)
     if not V:
-        return _bounded_verdict(p, X, ["empty presentation: trivial group"])
+        return _bounded_verdict(p, X, [*trace, "empty presentation: trivial group"])
     ups = cl._up_sets(p, X)
     classes = cl._classes(ups)
     if len(classes) == 1:
         t = cl._class_type(p, *classes[0])
         if t.kind == cl.FINITE_PRIMARY:
-            return _bounded_verdict(p, X, ["one class: finite primary"])
+            return _bounded_verdict(p, X, [*trace, "one class: finite primary"])
         if t.kind == cl.FREE_ABELIAN and t.rank > 1:
-            return _bounded_verdict(p, X, [f"one class: Z^{t.rank}"])
+            return _bounded_verdict(p, X, [*trace, f"one class: Z^{t.rank}"])
         if t.kind == cl.FREE_ABELIAN:  # rank 1: the group is Z
-            return _unbounded(_homomorphism(p, V[0], (V,)),
-                              ["one class: Z, exponent homomorphism"])
+            return _homomorphism(p, V[0], chain, [*trace, "one class: Z, exponent homomorphism"])
         # free class of rank >= 2
-        return _unbounded(_free_citation(p, V, (V,)), [f"one class: free of rank {t.rank}"])
+        return _free_citation(p, V, chain, [*trace, f"one class: free of rank {t.rank}"])
 
     # classes come in order of their least vertex: the first maximal class,
     # whose up-set stays inside it, has the least declaration index (tie-break)
     v, m = next((v, c) for v, c in classes if not ups[v] & ~c)
     M, mtype = p._ids(m), cl._class_type(p, v, m)
     rest = p._ids(X & ~m)
-    trace = [f"maximal class M = {{{','.join(M)}}} ({mtype.kind})"]
+    trace = [*trace, f"maximal class M = {{{','.join(M)}}} ({mtype.kind})"]
 
-    sub = _classify(p, X & ~m)
+    sub = _classify(p, X & ~m, (*chain, rest),
+                    [*trace, f"recursion on V-M = {{{','.join(rest)}}} unbounded"])
     if not sub.bounded:
-        return _prepend(sub, rest, trace + [f"recursion on V-M = {{{','.join(rest)}}} unbounded"])
+        return sub
 
     trace.append("V-M bounded: Z^n x Dinf^m x F")
     L = tuple(v for v in rest if m & ~p._adj_mask[p._index[v]])
     if not L:
         trace.append("L empty: direct product W_M x W_{V-M}")
         if mtype.kind == cl.FREE:
-            return _unbounded(_free_citation(p, M, (M,)), trace + ["retract to free class M"])
+            return _free_citation(p, M, chain, trace + ["retract to free class M"])
         if mtype.rank != 1 or sub.certificate.n:
             return _bounded_verdict(p, X, trace)
-        return _unbounded(_homomorphism(p, M[0], (M,)), trace + ["retract to the unique Z vertex"])
+        return _homomorphism(p, M[0], chain, trace + ["retract to the unique Z vertex"])
 
     zs = [v for v in L if p.order(v) is None]
     if len(zs) == 1:
-        return _unbounded(_homomorphism(p, zs[0], ((zs[0],),)),
-                          trace + [f"Z-rank of W_L is 1: minimal class {{{zs[0]}}}"])
+        return _homomorphism(p, zs[0], chain,
+                             trace + [f"Z-rank of W_L is 1: minimal class {{{zs[0]}}}"])
 
     ML = p._ids(m | p._mask(L))
     trace.append(f"free product W_M * W_L inside lower cone {{{','.join(ML)}}}")
@@ -221,19 +211,15 @@ def _classify(p: Presentation, X: int) -> Verdict:
         if len(M) == 1 and len(L) == 1:
             trace.append("W_M = W_L = C_2: absorbed as an extra Dinf factor")
             return _bounded_verdict(p, X, trace)
-        cert = Certificate(
-            CITATION,
-            chain=(ML,),
-            witness=multiply(p, generator(p, M[0]), generator(p, L[0])),
-            citation=CITE_HYPERBOLIC,
-            note="both sides elementary abelian 2-groups, some rank > 1",
-        )
-        return _unbounded(cert, trace + ["hyperbolic C_2^k * C_2^k case"])
+        return _unbounded(CITATION, chain, ML, trace + ["hyperbolic C_2^k * C_2^k case"],
+                          witness=multiply(p, generator(p, M[0]), generator(p, L[0])),
+                          citation=CITE_HYPERBOLIC,
+                          note="both sides elementary abelian 2-groups, some rank > 1")
 
-    pml = _spanned(p, p._mask(ML))
+    pml = p.sub(ML)
     qm = make_split_qm(pml, M)
-    cert = Certificate(SPLIT_QM, chain=(ML,), witness=_split_witness(pml, qm), split_qm=qm)
-    return _unbounded(cert, trace + ["split quasimorphism on W_M * W_L"])
+    return _unbounded(SPLIT_QM, chain, ML, trace + ["split quasimorphism on W_M * W_L"],
+                      witness=_split_witness(pml, qm), split_qm=qm)
 
 
 # -- serialization ---------------------------------------------------------
@@ -276,7 +262,7 @@ def certificate_from_obj(p: Presentation, obj: dict) -> Certificate:
         fields = {"target_vertex": _json_value(payload["target_vertex"], str)}
     elif kind == SPLIT_QM:
         # the payload lives on the last step; verify checks that the steps nest
-        final = _spanned(p, p._mask(chain[-1]) if chain else -1)
+        final = p.sub(chain[-1] if chain else p.vertex_ids)
         fields = {"split_qm": split_qm_from_obj(final, payload)}
     elif kind == CITATION:
         fields = {"citation": _json_value(payload["citation"], str)}
@@ -437,7 +423,7 @@ def verify_certificate(p: Presentation, verdict: Verdict) -> Report:
 
     # unbounded kinds: witness must survive the retraction chain, which
     # composes into one retraction because the steps are nested (chain-subset)
-    final = _spanned(p, cur)
+    final = p.sub(p._ids(cur))
     if cert.witness is None:
         rep.add("witness", False, "missing witness")
         return rep

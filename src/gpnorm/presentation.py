@@ -151,8 +151,11 @@ class Presentation:
     # -- derived graphs ---------------------------------------------------
 
     def sub(self, X: Iterable[str]) -> "Presentation":
-        """Full subgraph presentation spanned by X, in declaration order."""
+        """Full subgraph presentation spanned by X, in declaration order:
+        the presentation itself when X holds every vertex."""
         keep, index = self._mask(X), self._index
+        if keep + 1 == 1 << len(self.vertices):
+            return self
         verts = [v for i, v in enumerate(self.vertices) if keep >> i & 1]
         edges = [(a, b) for a, b in self.edges if keep >> index[a] & keep >> index[b] & 1]
         return Presentation(verts, edges)

@@ -281,9 +281,8 @@ def _free_runs(p: Presentation, M: Iterable[str], x: NormalWord) -> list[tuple[s
     try:
         runs = groupby(x, lambda s: side_of[s[0]])
         return [(side, tuple(run)) for side, run in runs]
-    except KeyError as exc:
+    except KeyError as exc:  # side_of names every vertex of p, so p.index raises
         p.index(exc.args[0])
-        raise
 
 
 # -- word literals --------------------------------------------------------

@@ -120,6 +120,13 @@ def test_parse_generator_validation():
     assert apply_gen(p, g, parse_word(p, "a c")) == parse_word(p, "c a")
 
 
+def test_graph_generator_literal_parses_back():
+    p = pres({"a": 2, "b": 2, "c": None}, [("a", "c"), ("b", "c")])
+    g = parse_generator(p, "graph(a:b,b:a,c:c)")
+    assert g.literal() == "graph(a:b,b:a,c:c)"
+    assert parse_generator(p, g.literal()) == g
+
+
 def test_apply_factor():
     p = pres({"a": 5})
     g = parse_generator(p, "factor(a,2)")

@@ -86,9 +86,9 @@ def test_classify_decomposes_only_for_bounded_certificates(monkeypatch, p, calls
     seen = []
     real = classes.join_decomposition
 
-    def counting(q):
+    def counting(q, X=-1):
         seen.append(q)
-        return real(q)
+        return real(q, X)
     monkeypatch.setattr(classes, "join_decomposition", counting)
     verdict = classify(p)
     assert verdict.bounded and len(seen) == calls
@@ -96,16 +96,16 @@ def test_classify_decomposes_only_for_bounded_certificates(monkeypatch, p, calls
 
 
 @pytest.mark.parametrize("name,builds", [
-    ("z2_x_dinf", (2, 0)),  # bounded nodes {d} and {c,d}
-    ("psl", (1, 0)),  # bounded node {b}; the split and the final step are V
+    ("z2_x_dinf", (0, 0)),  # bounded nodes {d} and {c,d} stay masks
+    ("psl", (0, 0)),  # the split and the final step are V
     ("path_raag", (0, 1)),  # final step {a,c}
     ("c6_star_z", (0, 1)),  # final step {b}
-    ("c2c2c2", (2, 0)),  # bounded nodes {c} and {b,c}; the split and the final step are V
+    ("c2c2c2", (0, 0)),  # the split and the final step are V
 ])
 def test_certify_builds_presentations_only_where_read(monkeypatch, name, builds):
-    """classify builds a Presentation only to decompose a bounded node or
-    for a split quasimorphism on less than all of V, and calls no
-    tau_structure; verify builds at most its final step."""
+    """classify builds a Presentation only for a split quasimorphism on less
+    than all of V, and calls no tau_structure; verify builds at most its
+    final step, and nothing when that step is V."""
     p = expand_to_primary(corpus.named_presentation(name))
     seen = {"builds": 0, "tau": 0}
     real_init, real_tau = Presentation.__init__, classes.tau_structure
@@ -267,6 +267,14 @@ def test_missing_witness_and_unknown_citation_fail(psl, f2):
     rep = verify_certificate(f2, Verdict(False, unknown_tag))
     assert [(c.name, c.detail) for c in rep.checks if c.status == "FAIL"] == [
         ("citation-endpoint", "unknown tag NOPE")
+    ]
+
+
+def test_split_certificate_without_payload_fails_split_qm(psl):
+    no_qm = replace(classify(psl).certificate, split_qm=None)
+    rep = verify_certificate(psl, Verdict(False, no_qm))
+    assert [(c.name, c.detail) for c in rep.checks if c.status == "FAIL"] == [
+        ("split-qm", "missing quasimorphism payload")
     ]
 
 

@@ -596,7 +596,14 @@ def test_rejected_generator_literal(corpus_dir, capsys, literal):
                                   '{"vertices": [{"id": "1", "order": 2}, {"id": "b", "order": 2}],'
                                   ' "edges": [[1, "b"]]}',
                                   # no duplicate is declared: a.0 clashes with part 0 of a
-                                  '{"vertices": [{"id": "a", "order": 6}, {"id": "a.0", "order": 2}]}'])
+                                  '{"vertices": [{"id": "a", "order": 6}, {"id": "a.0", "order": 2}]}',
+                                  '{"edges": []}', '{"vertices": [{"id": "a"}]}',
+                                  '{"vertices": [{"id": "a", "order": "x"}]}',
+                                  '{"vertices": [{"id": "a", "order": true}]}',
+                                  '{"vertices": [{"id": "a", "order": 2.5}]}',
+                                  '{"vertices": [{"id": "a", "factors": [1]}]}',
+                                  '{"vertices": [{"id": "a", "order": 2}], "edges": [["a", "zz"]]}',
+                                  '{"vertices": [{"id": "a", "order": 2}], "edges": [["zz", "a"]]}'])
 def test_malformed_presentation_exits_1(tmp_path, capsys, text):
     path = tmp_path / "bad.json"
     path.write_text(text)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -91,6 +92,15 @@ def test_sub_preserves_declaration_order():
     q = p.sub(["d", "a", "c"])
     assert q.vertex_ids == ("a", "c", "d")
     assert q.edges == (("c", "d"),)
+
+
+def test_sub_of_every_vertex_is_the_presentation_itself():
+    p = parse_presentation({"vertices": [{"id": v, "order": "inf"} for v in "abc"],
+                            "edges": [["a", "b"]]})
+    for X in itertools.permutations("abc"):
+        assert p.sub(X) is p
+    q = p.sub("ab")
+    assert q is not p and q.vertex_ids == ("a", "b") and q.edges == (("a", "b"),)
 
 
 def test_edges_in_declaration_order_and_clique():
